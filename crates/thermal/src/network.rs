@@ -33,9 +33,37 @@
 //! the substep cost scales with the number of edges, not `n²`. A padded
 //! slot-major copy of the same structure feeds the optional SIMD kernel
 //! (`simd` cargo feature); the scalar path never reads it.
+//!
+//! # The cached propagator
+//!
+//! Within one `advance(dt)` the powers and the boundary are constant, so
+//! every full-length substep is the same affine map `T ← A·T + c` with
+//!
+//! ```text
+//! A = diag(d) + diag((1 − d) / G_tot) · G_offdiag,   d = exp(−G_tot·h / C)
+//! ```
+//!
+//! for the substep length `h = max_substep`. Its fixed point solves
+//! `(I − A)·T = c`, which (dividing out `diag((1 − d) / G_tot)`) is exactly
+//! the steady-state system `G·T = P + G_amb·T_boundary`. Hence `k` substeps
+//! equal `T_ss + Aᵏ·(T − T_ss)` in exact arithmetic. `advance` splits `dt`
+//! into `k` full substeps and a shorter remainder, as the substep loop does,
+//! and for the full substeps applies one dense mat-vec per set bit of `k`
+//! with a table of `A^(2^j)` built by repeated squaring, plus one mat-vec
+//! with `G⁻¹` for `T_ss`. The remainder substep then runs through the
+//! direct kernel. Results agree with the substep loop to rounding (the
+//! oracle tests bound the gap at 1e-6 K), not bit for bit.
+//!
+//! The table and `G⁻¹` depend only on the topology, so they are cached in
+//! it (a `OnceLock` behind the shared `Arc`): forks and fleet clones share
+//! one copy, it is filled on the first advance that needs it, and it takes
+//! no part in equality. Short calls stay on the direct kernel: the path is
+//! chosen per call by a fixed cost rule computed from the topology at build
+//! time, comparing `(1 + popcount(k))·n²` dense multiply-adds against
+//! `k·(nnz + 3n)` for `k` substeps over `nnz` stored conductances.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use dimetrodon_sim_core::SimDuration;
 
@@ -109,8 +137,9 @@ impl std::error::Error for ThermalError {}
 ///
 /// Everything in here is a pure function of the builder's inputs: the
 /// packed conductance structure, the per-node totals, the substep bound and
-/// its precomputed decay factors, and the assembled steady-state matrix.
-#[derive(Debug, Clone, PartialEq)]
+/// its precomputed decay factors, the assembled steady-state matrix, and
+/// the lazily built propagator.
+#[derive(Debug, PartialEq)]
 pub(crate) struct Topology {
     pub(crate) names: Vec<String>,
     pub(crate) capacitances: Vec<f64>,
@@ -140,6 +169,116 @@ pub(crate) struct Topology {
     pub(crate) ell_slots: usize,
     pub(crate) ell_cols: Vec<i64>,
     pub(crate) ell_vals: Vec<f64>,
+    /// The shortest advance the cost rule can send to the propagator,
+    /// fixed at build time; shorter calls skip the rule (and its division)
+    /// altogether.
+    propagate_from: SimDuration,
+    /// Boxed so that `Topology` itself holds no interior mutability: the
+    /// substep kernel reads it through `&Topology`, and an inline
+    /// `OnceLock` would cost the compiler its no-alias facts there (about
+    /// 15% slower per substep on the 10-node network, measured on x86-64).
+    propagator: Box<PropagatorCache>,
+}
+
+/// The full-substep propagator of a topology (see the module docs): every
+/// matrix is `n × n`, column-major, so a mat-vec is `n` independent axpys.
+#[derive(Debug)]
+struct Propagator {
+    /// `G⁻¹`, the inverse of the steady-state matrix.
+    steady_inverse: Vec<f64>,
+    /// `levels[j] = A^(2^j)`. The table stops before the first square
+    /// whose entries would all fall below the smallest normal `f64`; any
+    /// power of `A` with a higher bit set is taken as zero.
+    levels: Vec<Vec<f64>>,
+}
+
+/// The lazily built propagator. A pure function of the rest of the
+/// topology, so it never takes part in equality: a network restored into
+/// a fresh topology with a cold cache equals the live one.
+#[derive(Debug, Default)]
+struct PropagatorCache(OnceLock<Propagator>);
+
+impl PartialEq for PropagatorCache {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Topology {
+    /// Whether `k` full substeps are cheaper through the propagator than
+    /// through the direct kernel, in multiply-adds: `(1 + popcount(k))`
+    /// dense mat-vecs of `n²` against `k` substeps of `nnz + 3n`.
+    fn propagates(&self, k: u64) -> bool {
+        let n = self.names.len() as u128;
+        let nnz = self.vals.len() as u128;
+        (1 + u128::from(k.count_ones())) * n * n < u128::from(k) * (nnz + 3 * n)
+    }
+
+    /// The propagator, built on first use and shared by every network on
+    /// this topology.
+    fn propagator(&self) -> &Propagator {
+        self.propagator.0.get_or_init(|| self.build_propagator())
+    }
+
+    fn build_propagator(&self) -> Propagator {
+        let n = self.names.len();
+        // Column k of G⁻¹ is the solution of G·x = e_k.
+        let mut steady_inverse = Vec::with_capacity(n * n);
+        let mut unit = vec![0.0; n];
+        for k in 0..n {
+            unit[k] = 1.0;
+            let column = self
+                .steady_matrix
+                .solve(&unit)
+                // simlint::allow(R1): documented panic — the builder
+                // grounds every node to ambient, making the matrix
+                // diagonally dominant and therefore non-singular.
+                .expect("grounded thermal network has a non-singular conductance matrix");
+            steady_inverse.extend(column);
+            unit[k] = 0.0;
+        }
+
+        // A = diag(d) + diag((1 − d) / G_tot)·G_offdiag, column by column.
+        let mut a = vec![0.0; n * n];
+        for i in 0..n {
+            a[i * n + i] = self.decay_max[i];
+            let gain = (1.0 - self.decay_max[i]) / self.total_conductance[i];
+            for k in self.row_offsets[i] as usize..self.row_offsets[i + 1] as usize {
+                a[self.cols[k] as usize * n + i] = gain * self.vals[k];
+            }
+        }
+        // Square until the next square would lie entirely below the
+        // smallest normal double (every entry of `M²` is at most
+        // `n·max|M|²`), or until every bit of a `u64` count is covered.
+        let floor = (f64::MIN_POSITIVE / n as f64).sqrt();
+        let mut levels = vec![a];
+        while levels.len() < 64 {
+            let last = &levels[levels.len() - 1];
+            if last.iter().all(|x| x.abs() < floor) {
+                break;
+            }
+            let mut square = vec![0.0; n * n];
+            for (out_col, col) in square.chunks_exact_mut(n).zip(last.chunks_exact(n)) {
+                mat_vec(last, col, out_col);
+            }
+            levels.push(square);
+        }
+        Propagator {
+            steady_inverse,
+            levels,
+        }
+    }
+}
+
+/// `y = M·x` for a column-major `n × n` matrix: one axpy per column, so
+/// every output accumulates its terms in column order.
+fn mat_vec(m: &[f64], x: &[f64], y: &mut [f64]) {
+    y.fill(0.0);
+    for (col, &xj) in m.chunks_exact(y.len()).zip(x) {
+        for (yi, &mij) in y.iter_mut().zip(col) {
+            *yi += mij * xj;
+        }
+    }
 }
 
 /// Builder for a [`ThermalNetwork`].
@@ -356,7 +495,7 @@ impl ThermalNetworkBuilder {
             }
         }
 
-        let topology = Topology {
+        let mut topology = Topology {
             names: self.names.clone(),
             capacitances: self.capacitances.clone(),
             row_offsets,
@@ -372,13 +511,21 @@ impl ThermalNetworkBuilder {
             ell_slots,
             ell_cols,
             ell_vals,
+            propagate_from: SimDuration::ZERO,
+            propagator: Box::default(),
         };
+        // Terminates: at powers of two the rule compares 2·n² against
+        // k·(nnz + 3n), which k eventually wins.
+        let first = (1u64..).find(|&k| topology.propagates(k)).unwrap_or(u64::MAX);
+        topology.propagate_from =
+            SimDuration::from_nanos(max_substep.as_nanos().saturating_mul(first));
         Ok(ThermalNetwork {
             topo: Arc::new(topology),
             temperatures: vec![self.ambient_celsius; n],
             powers: vec![0.0; n],
             boundary_celsius: self.ambient_celsius,
             scratch: vec![self.ambient_celsius; n],
+            work: Vec::new(),
             decay: vec![0.0; n],
             decay_dt_s: f64::NAN,
         })
@@ -411,6 +558,11 @@ pub struct ThermalNetwork {
     /// Integrator workspace: the previous substep's temperatures.
     // simlint::shared: scratch, fully overwritten before every use.
     scratch: Vec<f64>,
+    /// Propagator workspace: the steady-state right-hand side, then the
+    /// output of each mat-vec. Sized on first use, so networks that never
+    /// take the propagator (and clones of them) never allocate it.
+    // simlint::shared: scratch, fully overwritten before every use.
+    work: Vec<f64>,
     /// Per-node decay factors for an *irregular* substep of `decay_dt_s`
     /// seconds (a remainder shorter than `max_substep`); the common
     /// full-length factors live precomputed in the topology.
@@ -422,9 +574,10 @@ pub struct ThermalNetwork {
 
 impl PartialEq for ThermalNetwork {
     fn eq(&self, other: &Self) -> bool {
-        // The integrator workspace (`scratch`, `decay`, `decay_dt_s`) is
-        // not part of the network's observable state. Topologies compare
-        // by value, so independently built identical networks are equal.
+        // The integrator workspace (`scratch`, `work`, `decay`,
+        // `decay_dt_s`) is not part of the network's observable state.
+        // Topologies compare by value (their propagator caches excluded),
+        // so independently built identical networks are equal.
         (Arc::ptr_eq(&self.topo, &other.topo) || self.topo == other.topo)
             && self.temperatures == other.temperatures
             && self.powers == other.powers
@@ -608,9 +761,23 @@ impl ThermalNetwork {
 
     /// Advances the network by `dt` under the currently set powers.
     ///
-    /// Internally sub-steps at a quarter of the fastest local time constant
-    /// so accuracy does not depend on the caller's event granularity.
+    /// Integrates in substeps of at most a quarter of the fastest local
+    /// time constant, so accuracy does not depend on the caller's event
+    /// granularity. Long calls take the full-length substeps in closed
+    /// form through the cached propagator (see the module docs); the
+    /// result matches [`substep_reference`](crate::substep_reference) to
+    /// rounding.
     pub fn advance(&mut self, dt: SimDuration) {
+        self.advance_with(dt, true);
+    }
+
+    /// The substep loop behind [`advance`](Self::advance), never taking
+    /// the propagator: the reference integrator.
+    pub(crate) fn advance_substeps(&mut self, dt: SimDuration) {
+        self.advance_with(dt, false);
+    }
+
+    fn advance_with(&mut self, dt: SimDuration, allow_propagator: bool) {
         if dt.is_zero() {
             return;
         }
@@ -630,6 +797,13 @@ impl ThermalNetwork {
             f64::NEG_INFINITY
         };
         let mut remaining = dt;
+        if allow_propagator && dt >= self.topo.propagate_from {
+            let full = dt.as_nanos() / self.topo.max_substep.as_nanos();
+            if self.topo.propagates(full) {
+                self.propagate(full);
+                remaining = dt.saturating_sub(self.topo.max_substep * full);
+            }
+        }
         while !remaining.is_zero() {
             let step = remaining.min(self.topo.max_substep);
             self.substep(step.as_secs_f64());
@@ -643,6 +817,36 @@ impl ThermalNetwork {
                      (finite, >= {floor} °C expected)"
                 );
             }
+        }
+    }
+
+    /// Takes `k` full-length substeps at once:
+    /// `T ← T_ss + Aᵏ·(T − T_ss)`, one mat-vec per set bit of `k`.
+    fn propagate(&mut self, k: u64) {
+        let topo = &*self.topo;
+        let prop = topo.propagator();
+        self.work.resize(self.temperatures.len(), 0.0);
+        // scratch ← T_ss = G⁻¹·(P + G_amb·T_boundary).
+        let rhs = self.work.iter_mut().zip(&self.powers).zip(&topo.ambient_conductance);
+        for ((rhs, &p), &g) in rhs {
+            *rhs = p + g * self.boundary_celsius;
+        }
+        mat_vec(&prop.steady_inverse, &self.work, &mut self.scratch);
+        for (t, &ss) in self.temperatures.iter_mut().zip(&self.scratch) {
+            *t -= ss;
+        }
+        for (j, level) in prop.levels.iter().enumerate() {
+            if k >> j & 1 == 1 {
+                mat_vec(level, &self.temperatures, &mut self.work);
+                std::mem::swap(&mut self.temperatures, &mut self.work);
+            }
+        }
+        if k.checked_shr(prop.levels.len() as u32).unwrap_or(0) != 0 {
+            // Aᵏ has underflowed to zero: the network sits at T_ss.
+            self.temperatures.fill(0.0);
+        }
+        for (t, &ss) in self.temperatures.iter_mut().zip(&self.scratch) {
+            *t += ss;
         }
     }
 
@@ -1222,6 +1426,74 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "after {elapsed:?}: {a} vs {b}");
             }
         }
+    }
+
+    fn cache_is_warm(net: &ThermalNetwork) -> bool {
+        net.topo.propagator.0.get().is_some()
+    }
+
+    #[test]
+    fn cost_rule_keeps_short_calls_on_the_direct_kernel() {
+        let (net, _, _) = two_pole();
+        let topo = &*net.topo;
+        // n = 2, nnz = 2: 4 multiply-adds per mat-vec, 8 per substep.
+        assert!(!topo.propagates(0));
+        assert!(!topo.propagates(1));
+        assert!(topo.propagates(2));
+        assert!(topo.propagates(u64::MAX));
+        assert_eq!(topo.propagate_from, topo.max_substep * 2);
+        // A zero-length call or a single substep never builds the cache.
+        let mut short = net.clone();
+        short.set_power(NodeId(0), 40.0);
+        short.advance(SimDuration::ZERO);
+        short.advance(short.max_substep());
+        assert!(!cache_is_warm(&short));
+        short.advance(SimDuration::from_secs(1));
+        assert!(cache_is_warm(&short));
+        // Forks share the one cache through the topology.
+        assert!(cache_is_warm(&net));
+    }
+
+    #[test]
+    fn restored_network_with_a_cold_cache_advances_bit_identically() {
+        let (mut live, die, _) = two_pole();
+        live.set_power(die, 40.0);
+        live.set_boundary_celsius(31.0);
+        live.advance(SimDuration::from_secs_f64(2.5));
+        assert!(cache_is_warm(&live));
+
+        // A durable checkpoint restored into a freshly built network: same
+        // topology by value, but its propagator has never been built.
+        let mut enc = dimetrodon_ckpt::Enc::new();
+        live.snapshot().encode_state(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut dec = dimetrodon_ckpt::Dec::new(&bytes);
+        let snapshot = ThermalSnapshot::decode_state(&mut dec).unwrap();
+        let (mut restored, _, _) = two_pole();
+        restored.restore(&snapshot);
+        assert!(!cache_is_warm(&restored));
+        assert!(!restored.shares_topology(&live));
+        assert_eq!(restored, live, "equality ignores the propagator cache");
+
+        for &secs in &[1.0, 0.0007, 17.3, 0.25] {
+            live.advance(SimDuration::from_secs_f64(secs));
+            restored.advance(SimDuration::from_secs_f64(secs));
+            for (a, b) in live.temperatures().iter().zip(restored.temperatures()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "after {secs} s: {a} vs {b}");
+            }
+        }
+        assert!(cache_is_warm(&restored));
+        assert_eq!(restored, live);
+    }
+
+    #[test]
+    fn settle_and_steady_state_do_not_build_the_cache() {
+        let (mut net, die, _) = two_pole();
+        net.set_power(die, 40.0);
+        let ss = net.steady_state();
+        net.settle();
+        assert_eq!(net.temperatures(), ss.as_slice());
+        assert!(!cache_is_warm(&net));
     }
 
     proptest! {
