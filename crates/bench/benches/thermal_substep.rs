@@ -1,9 +1,8 @@
 //! Micro-benchmark of the thermal substep kernel itself, isolated from
 //! sweep orchestration: a small network shaped like the calibrated
 //! platform (10 nodes) and a large synthetic one (128 nodes), each
-//! advanced through many substeps. With `--features simd` the scalar and
-//! AVX2 kernels are measured side by side (via the runtime-dispatch
-//! override), so a kernel regression is visible independently of the
+//! advanced through many substeps on the scalar CSR kernel (the only
+//! substep kernel), so a kernel regression is visible independently of the
 //! sweep engine's pool and snapshot machinery.
 //!
 //! The `advance_1s` groups time one 1 s `advance` (the fleet's epoch,
@@ -54,22 +53,9 @@ fn bench_substep(c: &mut Criterion) {
         let mut group = c.benchmark_group(format!("thermal_substep_{label}"));
 
         group.bench_function("scalar", |b| {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            dimetrodon_thermal::simd::force_scalar(true);
             let mut network = network(n);
             b.iter(|| advance_substeps(&mut network));
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            dimetrodon_thermal::simd::force_scalar(false);
         });
-
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if dimetrodon_thermal::simd::avx2_active() {
-            group.bench_function("simd", |b| {
-                let mut network = network(n);
-                b.iter(|| advance_substeps(&mut network));
-            });
-        }
-
         group.finish();
     }
 }

@@ -214,7 +214,7 @@ mod tests {
                 let mut fleet = Fleet::new(config.clone());
                 for _ in 0..config.epochs() / 2 {
                     fleet.step(policy.as_mut());
-                    if fleet.epochs_run() % spec.every_epochs == 0 {
+                    if fleet.epochs_run().is_multiple_of(spec.every_epochs) {
                         store
                             .save(fleet.epochs_run(), &frames(&fleet, policy.as_ref()))
                             .expect("save");

@@ -752,6 +752,20 @@ mod tests {
     use crate::runner::{Actuation, RunConfig, SaturatingWorkload};
     use dimetrodon_machine::MachineConfig;
     use dimetrodon_sim_core::SimDuration;
+    use std::sync::MutexGuard;
+
+    /// Serialises every test that runs a supervised sweep: they share the
+    /// process-global incident log and replay counter, so a parallel
+    /// test's drain would steal another test's records. Both are drained
+    /// on entry, so each test starts from an empty log.
+    static SUPERVISED: Mutex<()> = Mutex::new(());
+
+    fn serial() -> MutexGuard<'static, ()> {
+        let guard = SUPERVISED.lock().unwrap_or_else(|e| e.into_inner());
+        drop(take_incidents());
+        take_replayed();
+        guard
+    }
 
     fn tiny_config(seed: u64) -> RunConfig {
         RunConfig {
@@ -855,6 +869,7 @@ mod tests {
 
     #[test]
     fn quarantine_survives_a_panicking_point() {
+        let _serial = serial();
         let points = vec![tiny_point(1), poisoned_point(2), tiny_point(3)];
         let config = SupervisorConfig::default();
         let outcomes = run_supervised(&points, &config);
@@ -872,6 +887,7 @@ mod tests {
 
     #[test]
     fn strict_policy_aborts_like_the_bare_pool() {
+        let _serial = serial();
         let points = vec![tiny_point(1), poisoned_point(2)];
         let config = SupervisorConfig {
             policy: PanicPolicy::Strict,
@@ -884,6 +900,7 @@ mod tests {
 
     #[test]
     fn backoff_defaults_off_under_test_so_retries_spin_without_sleeping() {
+        let _serial = serial();
         // In the binaries the default is on; under cfg(test) the linear
         // sleep would only slow deterministic retries down.
         assert!(!SupervisorConfig::default().backoff);
@@ -902,6 +919,7 @@ mod tests {
 
     #[test]
     fn retries_use_derived_seeds_and_give_up_deterministically() {
+        let _serial = serial();
         let points = vec![poisoned_point(9)];
         let config = SupervisorConfig {
             retries: 2,
@@ -925,6 +943,7 @@ mod tests {
 
     #[test]
     fn deadline_times_a_point_out_without_hanging() {
+        let _serial = serial();
         // The point must be slow enough that it cannot finish before the
         // watchdog starts waiting (a tiny point under parallel-test CPU
         // contention can beat even a nanosecond recv_timeout): a
@@ -952,6 +971,7 @@ mod tests {
 
     #[test]
     fn sweep_budget_skips_remaining_points() {
+        let _serial = serial();
         let points: Vec<_> = (0..4).map(tiny_point).collect();
         let config = SupervisorConfig {
             sweep_budget: Some(Duration::ZERO),
@@ -966,6 +986,7 @@ mod tests {
 
     #[test]
     fn journal_replay_restores_measurements_bit_for_bit() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join(format!(
             "dimetrodon-journal-test-{}",
             std::process::id()
@@ -999,6 +1020,7 @@ mod tests {
 
     #[test]
     fn without_resume_an_existing_journal_is_truncated() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join(format!(
             "dimetrodon-journal-trunc-{}",
             std::process::id()

@@ -306,8 +306,8 @@ fn analyze_file(
             findings.push(RawFinding {
                 line: site.line,
                 rule: Rule::U2,
-                message: "unsafe outside the per-crate allowlist (policy permits unsafe in \
-                          thermal/src/simd.rs only)"
+                message: "unsafe outside the per-crate allowlist (every governed crate's \
+                          allowlist is empty)"
                     .to_string(),
             });
         }
@@ -565,7 +565,8 @@ fn rel_label(root: &Path, path: &Path) -> String {
 }
 
 /// Files excluded from this view because a cfg-disabled `mod x;` gates
-/// them (e.g. `thermal/src/simd.rs` without `--features simd`).
+/// them (e.g. a `#[cfg(feature = "invariants")] mod checks;` without
+/// `--features invariants`).
 fn excluded_mod_files(analyses: &[FileAnalysis]) -> (Vec<PathBuf>, Vec<PathBuf>) {
     let mut exact = Vec::new();
     let mut prefixes = Vec::new();
@@ -907,9 +908,9 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
 /// Scope: `crates/*/src/**/*.rs` (per-crate policy), the facade package's
 /// own `src/`, and every governed crate's `Cargo.toml` (feature
 /// forwarding). Integration tests, benches, and examples are test code by
-/// construction and are not scanned. Files gated out by the view (e.g.
-/// `thermal/src/simd.rs` without `--features simd`) are excluded — CI runs
-/// both views to cover every line.
+/// construction and are not scanned. Files gated out by the view (a
+/// cfg-disabled `mod x;`) are excluded; lint under `--features <name>` to
+/// cover them.
 pub fn lint_workspace_with(root: &Path, view: &CfgView) -> Result<Report, String> {
     let mut report = Report::default();
     // (workspace-relative Cargo.toml label, parsed manifest, F1 enabled)

@@ -4,7 +4,7 @@
 //! cargo run -p simlint                    # lint the workspace, warn-level findings pass
 //! cargo run -p simlint -- --deny-warnings # CI mode: every finding is fatal
 //! cargo run -p simlint -- --root <dir>    # lint a different workspace root
-//! cargo run -p simlint -- --features simd # lint under the simd cfg view
+//! cargo run -p simlint -- --features invariants # lint under the invariants cfg view
 //! ```
 //!
 //! Exit status is non-zero iff any deny-level finding remains after

@@ -13,7 +13,7 @@
 //! `feature = "x"` follows the view's enabled set, and every other
 //! predicate (target_arch, unix, ...) is assumed true. Items whose cfg
 //! evaluates false are skipped and their line ranges masked, which is how
-//! one binary serves both the default and `--features simd` views.
+//! one binary serves both the default and `--features invariants` views.
 
 use std::collections::BTreeSet;
 

@@ -9,7 +9,7 @@ use crate::rules::Rule;
 
 /// The features whose hand-forwarded chains F1 keeps consistent: any crate
 /// depending on a crate that declares one of these must re-export it.
-pub const FORWARDED_FEATURES: &[&str] = &["simd", "invariants"];
+pub const FORWARDED_FEATURES: &[&str] = &["invariants"];
 
 /// Everything the linter needs to know about one crate, resolved once.
 #[derive(Debug, Clone)]
@@ -107,8 +107,8 @@ const BENCH: &[Rule] = &[
 /// - `bench`: `D3` + `R2` + the item rules.
 /// - vendored shims (`proptest`, `criterion`) and `simlint` itself: exempt.
 ///
-/// Unsafe policy: `thermal` may keep `unsafe` in `src/simd.rs` only (the
-/// AVX2 kernel); every other governed crate gets an empty allowlist.
+/// Unsafe policy: no governed crate allowlists `unsafe`, so U2 denies it
+/// everywhere.
 ///
 /// Snapshot policy: the types whose hand-maintained deep copies carry
 /// replay state. Fields may opt out with a `// simlint::shared` marker
@@ -134,10 +134,6 @@ pub fn policy_for_crate(dir_name: &str) -> CratePolicy {
         "bench" => ("bench", BENCH),
         _ => ("", &[]),
     };
-    let unsafe_files: &'static [&'static str] = match dir_name {
-        "thermal" => &["src/simd.rs"],
-        _ => &[],
-    };
     let snapshot_types: &'static [&'static str] = match dir_name {
         "sim-core" => &["EventQueue", "SimRng", "TimeSeries"],
         "thermal" => &["ThermalNetwork", "ThermalSnapshot"],
@@ -152,7 +148,7 @@ pub fn policy_for_crate(dir_name: &str) -> CratePolicy {
     CratePolicy {
         name,
         rules,
-        unsafe_files,
+        unsafe_files: &[],
         snapshot_types,
     }
 }
@@ -180,11 +176,15 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_allowlist_is_thermal_simd_only() {
-        assert_eq!(policy_for_crate("thermal").unsafe_files, ["src/simd.rs"]);
-        for name in ["sim-core", "machine", "sched", "harness", "cli"] {
+    fn unsafe_allowlist_is_empty_for_every_crate() {
+        for name in [
+            "sim-core", "dimetrodon", "thermal", "power", "machine", "sched", "workload",
+            "analysis", "faults", "fleet", "ckpt", "harness", "cli", "bench",
+        ] {
+            assert!(!policy_for_crate(name).rules.is_empty(), "{name} is governed");
             assert!(policy_for_crate(name).unsafe_files.is_empty(), "{name}");
         }
+        assert!(facade_policy().unsafe_files.is_empty());
     }
 
     #[test]

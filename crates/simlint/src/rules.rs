@@ -44,7 +44,7 @@ pub enum Rule {
     /// (or a `# Safety` doc section on the item).
     U1,
     /// `unsafe` is only permitted in files allowlisted by per-crate policy
-    /// (today: `thermal/src/simd.rs` only).
+    /// (today: no file in any crate).
     U2,
     /// Feature consistency: every `cfg(feature = "...")` must name a
     /// feature declared in that crate's `Cargo.toml`, and a crate whose

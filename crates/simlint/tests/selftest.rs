@@ -249,9 +249,9 @@ fn live_ckpt_pin_guards_the_real_workspace() {
 
     // Both cfg views must agree on the hash — snapshot structs are never
     // feature-gated, so the pin is view-independent.
-    let simd = lint_workspace_with(&root, &CfgView::with_features(["simd"]))
+    let invariants = lint_workspace_with(&root, &CfgView::with_features(["invariants"]))
         .unwrap_or_else(|e| panic!("{e}"));
-    assert_eq!(simd.ckpt_fields_hash, Some(computed));
+    assert_eq!(invariants.ckpt_fields_hash, Some(computed));
 }
 
 #[test]
@@ -303,21 +303,21 @@ fn dead_allow_fixture_reports_the_stale_suppression() {
 #[test]
 fn forwarding_check_flags_missing_and_stale_reexports() {
     let dep = manifest::parse(
-        "[package]\nname = \"core\"\n\n[features]\nsimd = []\n",
+        "[package]\nname = \"core\"\n\n[features]\ninvariants = []\n",
     );
     // No [features] at all: F1 points at the dependency line.
     let missing = manifest::parse(
         "[package]\nname = \"power\"\n\n[dependencies]\ncore = { path = \"../core\" }\n",
     );
-    // Declared but not forwarding "core/simd": F1 points at the decl.
+    // Declared but not forwarding "core/invariants": F1 points at the decl.
     let stale = manifest::parse(
         "[package]\nname = \"sched\"\n\n[dependencies]\ncore = { path = \"../core\" }\n\n\
-         [features]\nsimd = []\n",
+         [features]\ninvariants = []\n",
     );
     // Correct forwarding chain: clean.
     let good = manifest::parse(
         "[package]\nname = \"bench\"\n\n[dependencies]\ncore = { path = \"../core\" }\n\n\
-         [features]\nsimd = [\"core/simd\"]\n",
+         [features]\ninvariants = [\"core/invariants\"]\n",
     );
     // Dev-dependencies are exempt by design (test code is not shipped).
     let dev_only = manifest::parse(
@@ -341,7 +341,7 @@ fn forwarding_check_flags_missing_and_stale_reexports() {
         got,
         vec![
             ("power/Cargo.toml", 5, Rule::F1), // the `core = ...` line
-            ("sched/Cargo.toml", 8, Rule::F1), // the stale `simd = []` decl
+            ("sched/Cargo.toml", 8, Rule::F1), // the stale `invariants = []` decl
         ]
     );
 }
@@ -410,26 +410,6 @@ fn live_workspace_is_clean() {
         report.files_scanned
     );
     assert!(report.suppressed > 0, "expected justified suppressions");
-}
-
-/// The simd cfg view swaps `thermal/src/simd.rs` into scope; the
-/// workspace must be clean there too (CI runs both views).
-#[test]
-fn live_workspace_is_clean_under_simd_view() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let default = lint_workspace(&root).unwrap_or_else(|e| panic!("{e}"));
-    let view = CfgView::with_features(["simd"]);
-    let simd = lint_workspace_with(&root, &view).unwrap_or_else(|e| panic!("{e}"));
-    assert!(
-        simd.diagnostics.is_empty(),
-        "workspace has simlint findings under --features simd:\n{:#?}",
-        simd.diagnostics
-    );
-    assert_eq!(
-        simd.files_scanned,
-        default.files_scanned + 1,
-        "the simd view must scan exactly one extra file (thermal/src/simd.rs)"
-    );
 }
 
 /// True when `line` mentions `name` as a whole identifier.
@@ -583,7 +563,7 @@ fn live_snapshot_sources_fail_s1_when_any_field_copy_is_deleted() {
 #[test]
 fn binary_exits_zero_on_clean_workspace() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    for extra in [&[][..], &["--features", "simd"][..]] {
+    for extra in [&[][..], &["--features", "invariants"][..]] {
         let output = Command::new(env!("CARGO_BIN_EXE_simlint"))
             .args(["--deny-warnings", "--root"])
             .arg(&root)

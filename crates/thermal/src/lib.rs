@@ -56,8 +56,6 @@ mod linalg;
 mod network;
 mod reference;
 mod response;
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-pub mod simd;
 
 pub use network::{NodeId, ThermalError, ThermalNetwork, ThermalNetworkBuilder, ThermalSnapshot};
 pub use response::{cooling_drop, cooling_efficiency, step_response};

@@ -30,9 +30,8 @@
 //!
 //! The conductance matrix is stored packed (compressed sparse rows, columns
 //! ascending) because realistic die/hotspot/package topologies are sparse:
-//! the substep cost scales with the number of edges, not `n²`. A padded
-//! slot-major copy of the same structure feeds the optional SIMD kernel
-//! (`simd` cargo feature); the scalar path never reads it.
+//! the substep cost scales with the number of edges, not `n²`. One scalar
+//! kernel walks those rows.
 //!
 //! # The cached propagator
 //!
@@ -162,13 +161,6 @@ pub(crate) struct Topology {
     /// Assembly order matches the historical per-call construction, so
     /// solves produce bit-identical results.
     pub(crate) steady_matrix: Matrix,
-    /// Slot-major padded copy of the CSR structure for the SIMD kernel:
-    /// slot `k` of node `i` is at `k * n + i`. Padding slots carry the
-    /// node's own column and a zero conductance, so gathers stay in bounds
-    /// and contribute exactly `±0.0`.
-    pub(crate) ell_slots: usize,
-    pub(crate) ell_cols: Vec<i64>,
-    pub(crate) ell_vals: Vec<f64>,
     /// The shortest advance the cost rule can send to the propagator,
     /// fixed at build time; shorter calls skip the rule (and its division)
     /// altogether.
@@ -449,28 +441,6 @@ impl ThermalNetworkBuilder {
             row_offsets.push(cols.len() as u32);
         }
 
-        // Slot-major padded (ELLPACK) mirror of the CSR structure for the
-        // SIMD kernel: lane = node, slot = neighbour rank. Padding repeats
-        // the node's own index with zero conductance.
-        let ell_slots = (0..n)
-            .map(|i| (row_offsets[i + 1] - row_offsets[i]) as usize)
-            .max()
-            .unwrap_or(0);
-        let mut ell_cols = vec![0i64; ell_slots * n];
-        let mut ell_vals = vec![0.0f64; ell_slots * n];
-        for i in 0..n {
-            let (start, end) = (row_offsets[i] as usize, row_offsets[i + 1] as usize);
-            for k in 0..ell_slots {
-                let (c, v) = if start + k < end {
-                    (cols[start + k] as i64, vals[start + k])
-                } else {
-                    (i as i64, 0.0)
-                };
-                ell_cols[k * n + i] = c;
-                ell_vals[k * n + i] = v;
-            }
-        }
-
         // The shortest local time constant bounds the internal substep.
         // Exponential Euler is unconditionally stable and exact per node;
         // a quarter of the fastest time constant keeps the coupling error
@@ -508,9 +478,6 @@ impl ThermalNetworkBuilder {
             max_substep_s,
             decay_max,
             steady_matrix,
-            ell_slots,
-            ell_cols,
-            ell_vals,
             propagate_from: SimDuration::ZERO,
             propagator: Box::default(),
         };
@@ -872,14 +839,7 @@ impl ThermalNetwork {
         let old: &[f64] = &self.scratch;
         let new: &mut [f64] = &mut self.temperatures;
 
-        let boundary = self.boundary_celsius;
-
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if crate::simd::substep_vector(topo, boundary, old, &self.powers, decay, new) {
-            return;
-        }
-
-        scalar_substep(topo, boundary, old, &self.powers, decay, new);
+        scalar_substep(topo, self.boundary_celsius, old, &self.powers, decay, new);
     }
 
     /// Total power currently injected across all nodes, in watts.
@@ -1003,9 +963,8 @@ impl ThermalNetwork {
 ///
 /// Accumulates each row's neighbour products left to right, exactly as the
 /// historical dense walk did minus its `±0.0` products, so results are
-/// bit-identical for physical temperatures. Shared by the default build and
-/// the SIMD build's fallback/remainder paths.
-pub(crate) fn scalar_substep(
+/// bit-identical for physical temperatures.
+fn scalar_substep(
     topo: &Topology,
     boundary: f64,
     old: &[f64],
@@ -1375,9 +1334,6 @@ mod tests {
         assert_eq!(topo.row_offsets, vec![0, 1, 2]);
         assert_eq!(topo.cols, vec![1, 0]);
         assert_eq!(topo.vals, vec![2.0, 2.0]);
-        assert_eq!(topo.ell_slots, 1);
-        assert_eq!(topo.ell_cols, vec![1, 0]);
-        assert_eq!(topo.ell_vals, vec![2.0, 2.0]);
     }
 
     #[test]
