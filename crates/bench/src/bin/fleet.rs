@@ -123,6 +123,7 @@ fn main() -> std::process::ExitCode {
         if replayed > 0 {
             println!("[resume: {replayed} chaos point(s) replayed from journal]");
         }
+        apply_journal_gc_from_args(&args, &[grid.fingerprint()]);
         let table = chaos_table(&outcomes);
         println!("{}", table.render());
         write_csv("fleet_chaos", &table);

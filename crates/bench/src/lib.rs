@@ -234,8 +234,7 @@ pub fn apply_journal_gc_from_args(args: &[String], active_fingerprints: &[u64]) 
             .and_then(|s| s.parse().ok())
             .expect("--journal-gc requires a non-negative keep count");
         let dir = results_dir().join(".journal");
-        let removed =
-            dimetrodon_harness::supervise::gc_journals(&dir, keep, active_fingerprints);
+        let removed = dimetrodon_ckpt::journal::gc_journals(&dir, keep, active_fingerprints);
         if removed > 0 {
             println!("[journal-gc: removed {removed} old journal file(s), kept last {keep}]");
         }

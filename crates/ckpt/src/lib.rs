@@ -1,8 +1,9 @@
 //! Durable, versioned, checksummed checkpoint format.
 //!
-//! The journals (sweep, fleet, chaos) make *completed* points
-//! crash-resumable; this crate makes the *in-flight* point durable. A
-//! checkpoint file is a sequence of framed records:
+//! The journals (sweep, fleet, chaos; one shared text layer in
+//! [`journal`]) make *completed* points crash-resumable; this crate's
+//! frame codec makes the *in-flight* point durable. A checkpoint file is
+//! a sequence of framed records:
 //!
 //! ```text
 //! magic "DMTRCKPT" (8 bytes)
@@ -40,17 +41,22 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
+pub mod journal;
+
 /// Identifies a checkpoint file; the first 8 bytes on disk.
 pub const CKPT_MAGIC: [u8; 8] = *b"DMTRCKPT";
 
 /// On-disk format version. Bump whenever the byte layout of any frame
 /// changes — including the *field set* of any snapshot type that feeds an
 /// encoder (the simlint S2 rule pins that set against this constant).
-pub const CKPT_FORMAT_VERSION: u32 = 1;
+/// Version 2 moved the frame checksum to the standard FNV-1a prime.
+pub const CKPT_FORMAT_VERSION: u32 = 2;
 
-// simlint::ckpt_pin(version = 1, fields = 0x9393d143d5065597)
+// simlint::ckpt_pin(version = 2, fields = 0x9393d143d5065597)
 
-/// FNV-1a 64-bit hash, the workspace's standard content fingerprint.
+/// FNV-1a 64-bit hash (standard offset basis and prime), the workspace's
+/// one content fingerprint: frame checksums, journal and config
+/// fingerprints, snapshot keys.
 ///
 /// Each step XORs one byte into the running hash and multiplies by an odd
 /// prime; both operations are invertible on `u64`, so two inputs of equal
@@ -60,7 +66,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
 }
@@ -668,6 +674,13 @@ mod tests {
         b.opt_f64(None);
         b.bytes(b"nested");
         vec![a.into_bytes(), b.into_bytes()]
+    }
+
+    #[test]
+    fn fnv1a64_matches_the_published_test_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Fleet configuration and its explicit byte fingerprint.
 
+use dimetrodon_ckpt::fnv1a64;
 use dimetrodon_faults::FleetFaultPlan;
 use dimetrodon_harness::snapshot::machine_config_bytes;
-use dimetrodon_harness::supervise::fnv1a64;
 use dimetrodon_machine::{MachineConfig, ThermalTrip};
 use dimetrodon_sim_core::SimDuration;
 use dimetrodon_workload::WebConfig;

@@ -1,22 +1,25 @@
-//! The fleet comparison's crash-resumable journal.
+//! The fleet comparison's and the chaos sweep's crash-resumable journals.
 //!
-//! Same discipline as the sweep supervisor's journal (`results/.journal/`,
-//! one text line per completed unit, floats as 16-hex-digit IEEE-754 bit
-//! patterns, a truncated final line silently dropped), but the unit is a
-//! whole policy variant: one line carries every rack report of one
-//! [`PolicyKind`](crate::PolicyKind) run. Lines are independent and keyed
-//! by variant index, so worker threads may append in completion order and
-//! a resumed comparison still reassembles results in variant order.
+//! Both are [`LineJournal`]s, the same text layer the sweep supervisor
+//! journals through (`results/.journal/`, one line per completed unit,
+//! floats as 16-hex-digit IEEE-754 bit patterns, a torn final line
+//! dropped and healed away on resume). This module holds only their line
+//! formats and replay filters. The fleet's unit is a whole policy
+//! variant: one line carries every rack report of one
+//! [`PolicyKind`](crate::PolicyKind) run. The chaos sweep's unit is one
+//! (intensity, policy) grid point. Lines are keyed by index, so worker
+//! threads may append in completion order and a resumed run still
+//! reassembles results in order.
 //!
-//! The file name embeds [`FleetConfig::fingerprint`](crate::FleetConfig::fingerprint)
-//! — the explicit byte-serialized identity, not a `Debug` rendering — so a
-//! journal can never be replayed against a config it does not describe.
+//! The file names embed [`FleetConfig::fingerprint`](crate::FleetConfig::fingerprint)
+//! or [`ChaosGrid::fingerprint`] — explicit byte-serialized identities,
+//! not `Debug` renderings — so a journal can never be replayed against a
+//! run it does not describe.
 
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+
+use dimetrodon_ckpt::journal::{encode_opt_f64, parse_hex_f64, parse_opt_f64, LineJournal};
 
 use crate::chaos::ChaosGrid;
 use crate::policy::PolicyKind;
@@ -44,10 +47,6 @@ pub fn journal_path(dir: &Path, config_fingerprint: u64) -> PathBuf {
 pub fn encode_entry(variant: usize, policy: &str, reports: &[RackReport]) -> String {
     let mut line = format!("variant {variant} {policy} {}", reports.len());
     for report in reports {
-        let p99 = match report.p99_latency_s {
-            Some(v) => format!("{:016x}", v.to_bits()),
-            None => "-".to_string(),
-        };
         line.push_str(&format!(
             " {}:{:016x}:{:016x}:{}:{}:{:016x}:{}",
             report.machines,
@@ -56,20 +55,10 @@ pub fn encode_entry(variant: usize, policy: &str, reports: &[RackReport]) -> Str
             report.trips,
             report.requests,
             report.good_fraction.to_bits(),
-            p99,
+            encode_opt_f64(report.p99_latency_s),
         ));
     }
     line
-}
-
-/// Parses a full-width (16-digit) hex f64 bit pattern; the fixed width
-/// rejects truncation.
-fn parse_hex_f64(token: &str) -> Option<f64> {
-    if token.len() != 16 {
-        return None;
-    }
-    let value = f64::from_bits(u64::from_str_radix(token, 16).ok()?);
-    value.is_finite().then_some(value)
 }
 
 /// Parses one journal line back into `(variant, policy name, reports)`.
@@ -104,10 +93,7 @@ pub fn decode_entry(line: &str) -> Option<(usize, String, Vec<RackReport>)> {
             trips: fields[3].parse().ok()?,
             requests: fields[4].parse().ok()?,
             good_fraction: parse_hex_f64(fields[5])?,
-            p99_latency_s: match fields[6] {
-                "-" => None,
-                hex => Some(parse_hex_f64(hex)?),
-            },
+            p99_latency_s: parse_opt_f64(fields[6])?,
         });
     }
     Some((variant, policy, reports))
@@ -118,96 +104,38 @@ pub fn decode_entry(line: &str) -> Option<(usize, String, Vec<RackReport>)> {
 /// being written.
 #[derive(Debug)]
 pub struct FleetJournal {
-    path: PathBuf,
+    journal: LineJournal,
     entries: BTreeMap<usize, Vec<RackReport>>,
-    /// `None` once an I/O error has disabled journaling (the comparison
-    /// itself must keep going; resumability is best-effort).
-    file: Mutex<Option<File>>,
 }
 
 impl FleetJournal {
     /// Opens the journal for `config_fingerprint` inside `dir`.
     ///
     /// With `resume` set, every decodable entry whose variant index names
-    /// a known [`PolicyKind`] with a matching name is loaded for replay,
-    /// the file is healed to that valid prefix (a SIGKILL can leave a
-    /// torn, newline-less tail that would otherwise corrupt the next
-    /// append), and new entries append after it. Without `resume`, any
-    /// stale journal is truncated and the comparison starts fresh. I/O
-    /// failures disable journaling with a warning instead of failing the
-    /// run.
+    /// a known [`PolicyKind`] with a matching name is loaded for replay
+    /// and the file is healed to those entries ([`LineJournal::open`]).
+    /// Without `resume`, any stale journal is truncated and the
+    /// comparison starts fresh. I/O failures disable journaling with a
+    /// warning instead of failing the run.
     pub fn open(dir: &Path, config_fingerprint: u64, resume: bool) -> FleetJournal {
-        let path = journal_path(dir, config_fingerprint);
-        let mut entries = BTreeMap::new();
-        if resume {
-            if let Ok(text) = std::fs::read_to_string(&path) {
-                for line in text.lines() {
-                    if let Some((variant, policy, reports)) = decode_entry(line) {
-                        let known = PolicyKind::ALL
-                            .get(variant)
-                            .is_some_and(|kind| kind.name() == policy);
-                        if known {
-                            // Later entries win, matching append order.
-                            entries.insert(variant, reports);
-                        }
-                    }
-                }
-            }
-        }
-        if let Err(err) = std::fs::create_dir_all(dir) {
-            eprintln!("warning: cannot create journal dir {}: {err}", dir.display());
-            return FleetJournal {
-                path,
-                entries,
-                file: Mutex::new(None),
-            };
-        }
-        // Always rewrite header + surviving entries: a SIGKILL can leave a
-        // torn, newline-less tail, and appending straight after it would
-        // corrupt the first new line. Healing the file to its valid
-        // prefix makes every append land on a line boundary.
-        let opened = OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .write(true)
-            .open(&path);
-        let file = match opened {
-            Ok(mut file) => {
-                let mut prefix = format!(
-                    "# dimetrodon fleet journal v1 config {config_fingerprint:016x}\n"
-                );
-                for (&variant, reports) in &entries {
-                    // A replayed variant's name is its index's by
-                    // construction of the `known` filter above.
-                    let name = PolicyKind::ALL[variant].name();
-                    prefix.push_str(&encode_entry(variant, name, reports));
-                    prefix.push('\n');
-                }
-                if let Err(err) = file.write_all(prefix.as_bytes()).and_then(|()| file.flush()) {
-                    eprintln!("warning: journal write failed ({err}); journaling disabled");
-                    None
-                } else {
-                    Some(file)
-                }
-            }
-            Err(err) => {
-                eprintln!(
-                    "warning: cannot open journal {}: {err}; journaling disabled",
-                    path.display()
-                );
-                None
-            }
-        };
-        FleetJournal {
-            path,
-            entries,
-            file: Mutex::new(file),
-        }
+        let (journal, entries) = LineJournal::open(
+            journal_path(dir, config_fingerprint),
+            &format!("# dimetrodon fleet journal v1 config {config_fingerprint:016x}"),
+            resume,
+            |line| {
+                let (variant, policy, reports) = decode_entry(line)?;
+                let known = PolicyKind::ALL
+                    .get(variant)
+                    .is_some_and(|kind| kind.name() == policy);
+                known.then_some((variant, reports))
+            },
+        );
+        FleetJournal { journal, entries }
     }
 
     /// The journal's file path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.journal.path()
     }
 
     /// Variants loaded for replay at open.
@@ -224,38 +152,13 @@ impl FleetJournal {
     /// after still finds the line on resume. Thread-safe; workers append
     /// in completion order.
     pub fn append(&self, variant: usize, policy: &str, reports: &[RackReport]) {
-        let mut guard = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(file) = guard.as_mut() {
-            let mut line = encode_entry(variant, policy, reports);
-            line.push('\n');
-            let written = file.write_all(line.as_bytes()).and_then(|()| file.flush());
-            if let Err(err) = written {
-                eprintln!("warning: journal write failed ({err}); journaling disabled");
-                *guard = None;
-            }
-        }
+        self.journal.append(&encode_entry(variant, policy, reports));
     }
 }
 
 /// The journal file path for a chaos sweep inside `dir`.
 pub fn chaos_journal_path(dir: &Path, grid_fingerprint: u64) -> PathBuf {
     dir.join(format!("fleet-chaos-{grid_fingerprint:016x}.journal"))
-}
-
-/// Renders an optional metric as a full-width hex bit pattern or `-`.
-fn encode_opt_f64(value: Option<f64>) -> String {
-    match value {
-        Some(v) => format!("{:016x}", v.to_bits()),
-        None => "-".to_string(),
-    }
-}
-
-/// Parses [`encode_opt_f64`]'s rendering back.
-fn parse_opt_f64(token: &str) -> Option<Option<f64>> {
-    match token {
-        "-" => Some(None),
-        hex => Some(Some(parse_hex_f64(hex)?)),
-    }
 }
 
 /// Tokens one chaos entry carries after `chaos <index> <label>`; the
@@ -341,13 +244,11 @@ pub fn decode_chaos_entry(line: &str) -> Option<(usize, String, ChaosMetrics)> {
 /// synthetic plan's bytes, the recovery hysteresis).
 #[derive(Debug)]
 pub struct ChaosJournal {
-    path: PathBuf,
+    journal: LineJournal,
     /// Expected label per point index, from the grid; entries whose
     /// label disagrees are from an incompatible grid and never replay.
     labels: Vec<String>,
     entries: BTreeMap<usize, ChaosMetrics>,
-    /// `None` once an I/O error has disabled journaling.
-    file: Mutex<Option<File>>,
 }
 
 impl ChaosJournal {
@@ -355,72 +256,31 @@ impl ChaosJournal {
     /// contract as [`FleetJournal::open`].
     pub fn open(dir: &Path, grid: &ChaosGrid, resume: bool) -> ChaosJournal {
         let fingerprint = grid.fingerprint();
-        let path = chaos_journal_path(dir, fingerprint);
         let labels: Vec<String> = grid
             .points()
             .into_iter()
             .map(|(intensity, kind)| ChaosGrid::label(intensity, kind))
             .collect();
-        let mut entries = BTreeMap::new();
-        if resume {
-            if let Ok(text) = std::fs::read_to_string(&path) {
-                for line in text.lines() {
-                    if let Some((index, label, metrics)) = decode_chaos_entry(line) {
-                        if labels.get(index).is_some_and(|expected| *expected == label) {
-                            entries.insert(index, metrics);
-                        }
-                    }
-                }
-            }
-        }
-        if let Err(err) = std::fs::create_dir_all(dir) {
-            eprintln!("warning: cannot create journal dir {}: {err}", dir.display());
-            return ChaosJournal {
-                path,
-                labels,
-                entries,
-                file: Mutex::new(None),
-            };
-        }
-        let opened = OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .write(true)
-            .open(&path);
-        let file = match opened {
-            Ok(mut file) => {
-                let mut prefix =
-                    format!("# dimetrodon fleet chaos journal v1 grid {fingerprint:016x}\n");
-                for (&index, metrics) in &entries {
-                    prefix.push_str(&encode_chaos_entry(index, &labels[index], metrics));
-                    prefix.push('\n');
-                }
-                if let Err(err) = file.write_all(prefix.as_bytes()).and_then(|()| file.flush()) {
-                    eprintln!("warning: journal write failed ({err}); journaling disabled");
-                    None
-                } else {
-                    Some(file)
-                }
-            }
-            Err(err) => {
-                eprintln!(
-                    "warning: cannot open journal {}: {err}; journaling disabled",
-                    path.display()
-                );
-                None
-            }
-        };
+        let (journal, entries) = LineJournal::open(
+            chaos_journal_path(dir, fingerprint),
+            &format!("# dimetrodon fleet chaos journal v1 grid {fingerprint:016x}"),
+            resume,
+            |line| {
+                let (index, label, metrics) = decode_chaos_entry(line)?;
+                let known = labels.get(index).is_some_and(|expected| *expected == label);
+                known.then_some((index, metrics))
+            },
+        );
         ChaosJournal {
-            path,
+            journal,
             labels,
             entries,
-            file: Mutex::new(file),
         }
     }
 
     /// The journal's file path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.journal.path()
     }
 
     /// Points loaded for replay at open.
@@ -446,16 +306,7 @@ impl ChaosJournal {
             Some(label),
             "chaos journal append under a label the grid does not own"
         );
-        let mut guard = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(file) = guard.as_mut() {
-            let mut line = encode_chaos_entry(index, label, metrics);
-            line.push('\n');
-            let written = file.write_all(line.as_bytes()).and_then(|()| file.flush());
-            if let Err(err) = written {
-                eprintln!("warning: journal write failed ({err}); journaling disabled");
-                *guard = None;
-            }
-        }
+        self.journal.append(&encode_chaos_entry(index, label, metrics));
     }
 }
 
@@ -598,6 +449,35 @@ mod tests {
         // Fresh open truncates.
         let fresh = FleetJournal::open(&dir, fingerprint, false);
         assert_eq!(fresh.replayed_count(), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn fresh_journals_hold_exactly_their_pinned_headers() {
+        // perfbench and CI read these files; the file names and header
+        // lines are format, not implementation detail.
+        let dir = std::env::temp_dir().join(format!(
+            "fleet-journal-test-{}-{}",
+            std::process::id(),
+            line!()
+        ));
+        let fleet = FleetJournal::open(&dir, 0xabcd_ef01_2345_6789, false);
+        assert_eq!(fleet.path(), dir.join("fleet-abcdef0123456789.journal"));
+        assert_eq!(
+            std::fs::read_to_string(fleet.path()).expect("fleet journal"),
+            "# dimetrodon fleet journal v1 config abcdef0123456789\n"
+        );
+
+        let mut base = crate::FleetConfig::rack_scale(6, 41);
+        base.machines_per_rack = 3;
+        let grid = ChaosGrid::new(base, vec![0.0]);
+        let fp = grid.fingerprint();
+        let chaos = ChaosJournal::open(&dir, &grid, false);
+        assert_eq!(chaos.path(), dir.join(format!("fleet-chaos-{fp:016x}.journal")));
+        assert_eq!(
+            std::fs::read_to_string(chaos.path()).expect("chaos journal"),
+            format!("# dimetrodon fleet chaos journal v1 grid {fp:016x}\n")
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -20,9 +20,9 @@
 //!   deterministic backoff — attempt 0 runs the point's own seed, attempt
 //!   `k > 0` runs `derive_seed(derive_seed(seed, index), k)`, so retried
 //!   output is still a pure function of the grid, never of wall clock;
-//! * **journal** completed points to disk (`results/.journal/`) in a
-//!   dependency-free text format, keyed by a stable fingerprint of the
-//!   [`SweepPoint`]; a killed run restarted with `--resume` replays
+//! * **journal** completed points to disk (`results/.journal/`) through
+//!   the workspace's shared [`LineJournal`], keyed by a stable fingerprint
+//!   of the [`SweepPoint`]; a killed run restarted with `--resume` replays
 //!   journaled points instead of recomputing them and produces
 //!   byte-identical CSVs.
 //!
@@ -46,8 +46,7 @@
 //! replayed outcome carries an empty series whose name records the
 //! original sample count.
 
-use std::fs::{File, OpenOptions};
-use std::io::Write as _;
+use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -59,6 +58,8 @@ use std::time::Duration;
 // reading ever flows into a result value.
 use std::time::Instant;
 
+use dimetrodon_ckpt::fnv1a64;
+use dimetrodon_ckpt::journal::{parse_hex_f64, parse_hex_u64, LineJournal};
 use dimetrodon_sim_core::{derive_seed, TimeSeries};
 
 use crate::runner::{characterize_on, RunOutcome};
@@ -262,19 +263,7 @@ fn record_incident(incident: Incident) {
 
 // --- Fingerprints -------------------------------------------------------
 
-/// FNV-1a 64-bit over a byte slice: tiny, dependency-free, and stable
-/// across runs and platforms. Public so downstream crates (the fleet
-/// journal) fingerprint with the same hash the sweep journal uses.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// A stable fingerprint of one sweep point: FNV-1a64 over its exhaustive
+/// A stable fingerprint of one sweep point: [`fnv1a64`] over its exhaustive
 /// `Debug` rendering (machine, workload, actuation, run config, seed).
 /// Two points fingerprint equal exactly when they describe the same
 /// computation, in which case their outcomes are interchangeable.
@@ -302,7 +291,8 @@ pub fn fingerprint_sweep(points: &[SweepPoint]) -> u64 {
 //         <curve-len> <t:v,t:v,...|->
 //
 // Lines starting with `#` are comments; a truncated final line (the
-// process was SIGKILLed mid-write) fails to decode and is ignored.
+// process was SIGKILLed mid-write) fails to decode and is ignored. Open,
+// heal and append are `dimetrodon_ckpt::journal`'s.
 
 /// Serializes one completed point as a single journal line (no trailing
 /// newline). Exposed for the journal property tests.
@@ -336,21 +326,6 @@ pub fn encode_entry(fingerprint: u64, outcome: &RunOutcome) -> String {
     )
 }
 
-/// Parses a full-width (16-digit) hex `u64`. The fixed width is what
-/// makes SIGKILL truncation detectable: a bit pattern cut short never
-/// parses, so a partial final line is dropped instead of misread.
-fn parse_hex_u64(token: &str) -> Option<u64> {
-    if token.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(token, 16).ok()
-}
-
-fn parse_finite_f64(token: &str) -> Option<f64> {
-    let value = f64::from_bits(parse_hex_u64(token)?);
-    value.is_finite().then_some(value)
-}
-
 fn decode_name(token: &str) -> Option<String> {
     let hex = token.strip_prefix('n')?;
     if hex.len() % 2 != 0 {
@@ -377,9 +352,9 @@ pub fn decode_entry(line: &str) -> Option<(u64, RunOutcome)> {
         return None;
     }
     let fingerprint = parse_hex_u64(tokens[1])?;
-    let idle_temp = parse_finite_f64(tokens[2])?;
-    let tail_temp = parse_finite_f64(tokens[3])?;
-    let throughput = parse_finite_f64(tokens[4])?;
+    let idle_temp = parse_hex_f64(tokens[2])?;
+    let tail_temp = parse_hex_f64(tokens[3])?;
+    let throughput = parse_hex_f64(tokens[4])?;
     let injected_idles: u64 = tokens[5].parse().ok()?;
     let name = decode_name(tokens[6])?;
     let series_len: usize = tokens[7].parse().ok()?;
@@ -388,7 +363,7 @@ pub fn decode_entry(line: &str) -> Option<(u64, RunOutcome)> {
     if curve_len > 0 {
         for pair in tokens[9].split(',') {
             let (t, v) = pair.split_once(':')?;
-            observed_curve.push((parse_finite_f64(t)?, parse_finite_f64(v)?));
+            observed_curve.push((parse_hex_f64(t)?, parse_hex_f64(v)?));
         }
     } else if tokens[9] != "-" {
         return None;
@@ -416,129 +391,6 @@ pub fn decode_entry(line: &str) -> Option<(u64, RunOutcome)> {
 /// The journal file path for a sweep inside `dir`.
 pub fn journal_path(dir: &Path, sweep_fingerprint: u64) -> PathBuf {
     dir.join(format!("sweep-{sweep_fingerprint:016x}.journal"))
-}
-
-/// Keep-last-K retention for the journal directory (`--journal-gc K`):
-/// deletes `*.journal` files beyond the `keep` most recently modified,
-/// except that a file whose name embeds any of `active_fingerprints`
-/// (the hex forms every journal family uses) is **never** deleted, no
-/// matter how old — garbage collection must not eat the journal the
-/// current run is appending to or about to resume from. Returns how
-/// many files were removed; all I/O errors are best-effort skips, so a
-/// GC pass can never fail a run.
-pub fn gc_journals(dir: &Path, keep: usize, active_fingerprints: &[u64]) -> usize {
-    let active: Vec<String> = active_fingerprints
-        .iter()
-        .map(|fp| format!("{fp:016x}"))
-        .collect();
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return 0;
-    };
-    // simlint::allow(D1): file mtimes order GC candidates only; no
-    // simulated result ever observes them.
-    let mut journals: Vec<(std::time::SystemTime, PathBuf)> = entries
-        .flatten()
-        .filter_map(|entry| {
-            let path = entry.path();
-            let name = path.file_name()?.to_str()?;
-            if !name.ends_with(".journal") {
-                return None;
-            }
-            if active.iter().any(|hex| name.contains(hex.as_str())) {
-                return None;
-            }
-            let modified = entry.metadata().ok()?.modified().ok()?;
-            Some((modified, path))
-        })
-        .collect();
-    // Newest first; ties break on the path so the order is total.
-    journals.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-    let mut removed = 0;
-    for (_, path) in journals.into_iter().skip(keep) {
-        if std::fs::remove_file(&path).is_ok() {
-            removed += 1;
-        }
-    }
-    removed
-}
-
-/// Loads every decodable entry of a journal file; keyed by point
-/// fingerprint, later entries win. A missing file is an empty journal.
-fn load_journal(path: &Path) -> std::collections::BTreeMap<u64, RunOutcome> {
-    let mut replayed = std::collections::BTreeMap::new();
-    if let Ok(text) = std::fs::read_to_string(path) {
-        for line in text.lines() {
-            if let Some((fingerprint, outcome)) = decode_entry(line) {
-                replayed.insert(fingerprint, outcome);
-            }
-        }
-    }
-    replayed
-}
-
-/// Opens the journal for appending (resume) or truncated fresh (normal
-/// run). Returns `None`, with a warning, if the directory or file cannot
-/// be created — the sweep still runs, just without crash resumability.
-fn open_journal(path: &Path, resume: bool, points: usize, sweep: u64) -> Option<File> {
-    if let Some(dir) = path.parent() {
-        if let Err(err) = std::fs::create_dir_all(dir) {
-            eprintln!("warning: cannot create journal dir {}: {err}", dir.display());
-            return None;
-        }
-    }
-    let fresh = !resume || !path.exists();
-    // A SIGKILL mid-write leaves a torn final line with no newline;
-    // terminate it before appending so the next entry starts clean
-    // instead of merging into (and corrupting) the fragment.
-    let torn_tail = resume
-        && std::fs::read(path).is_ok_and(|bytes| bytes.last().is_some_and(|&b| b != b'\n'));
-    let opened = if resume {
-        OpenOptions::new().create(true).append(true).open(path)
-    } else {
-        File::create(path)
-    };
-    match opened {
-        Ok(mut file) => {
-            if torn_tail {
-                if let Err(err) = file.write_all(b"\n") {
-                    eprintln!("warning: journal write failed ({err}); journaling disabled");
-                    return None;
-                }
-            }
-            if fresh {
-                let header =
-                    format!("# dimetrodon sweep journal v1 sweep {sweep:016x} points {points}\n");
-                if let Err(err) = file.write_all(header.as_bytes()) {
-                    eprintln!("warning: journal write failed ({err}); journaling disabled");
-                    return None;
-                }
-            }
-            Some(file)
-        }
-        Err(err) => {
-            eprintln!(
-                "warning: cannot open journal {}: {err}; journaling disabled",
-                path.display()
-            );
-            None
-        }
-    }
-}
-
-/// Appends one completed point to the journal and flushes, so a SIGKILL
-/// can lose at most the line being written.
-fn journal_append(journal: &Mutex<Option<File>>, entry: &str) {
-    let mut guard = journal.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(file) = guard.as_mut() {
-        let mut line = String::with_capacity(entry.len() + 1);
-        line.push_str(entry);
-        line.push('\n');
-        let ok = file.write_all(line.as_bytes()).and_then(|()| file.flush());
-        if let Err(err) = ok {
-            eprintln!("warning: journal write failed ({err}); journaling disabled");
-            *guard = None;
-        }
-    }
 }
 
 // --- Supervised execution ----------------------------------------------
@@ -660,7 +512,7 @@ fn supervise_point(
     fingerprint: u64,
     sweep_label: &str,
     config: &SupervisorConfig,
-    journal: &Mutex<Option<File>>,
+    journal: Option<&LineJournal>,
 ) -> PointOutcome {
     let mut first_error: Option<AttemptError> = None;
     for attempt in 0..=config.retries {
@@ -669,7 +521,9 @@ fn supervise_point(
         }
         match run_attempt(point, index, attempt, config) {
             Ok(outcome) => {
-                journal_append(journal, &encode_entry(fingerprint, &outcome));
+                if let Some(journal) = journal {
+                    journal.append(&encode_entry(fingerprint, &outcome));
+                }
                 return PointOutcome::Ok(outcome);
             }
             Err(error) => {
@@ -709,16 +563,17 @@ fn supervise_point(
 pub fn run_supervised(points: &[SweepPoint], config: &SupervisorConfig) -> Vec<PointOutcome> {
     let sweep = fingerprint_sweep(points);
     let sweep_label = format!("{sweep:016x}");
-    let mut replayed = std::collections::BTreeMap::new();
-    let journal = match &config.journal_dir {
+    let (journal, replayed) = match &config.journal_dir {
         Some(dir) => {
-            let path = journal_path(dir, sweep);
-            if config.resume {
-                replayed = load_journal(&path);
-            }
-            Mutex::new(open_journal(&path, config.resume, points.len(), sweep))
+            let header = format!(
+                "# dimetrodon sweep journal v1 sweep {sweep:016x} points {}",
+                points.len()
+            );
+            let (journal, replayed) =
+                LineJournal::open(journal_path(dir, sweep), &header, config.resume, decode_entry);
+            (Some(journal), replayed)
         }
-        None => Mutex::new(None),
+        None => (None, BTreeMap::new()),
     };
     // simlint::allow(D1): the budget clock gates whether points start; it
     // never flows into results.
@@ -742,7 +597,7 @@ pub fn run_supervised(points: &[SweepPoint], config: &SupervisorConfig) -> Vec<P
                 return PointOutcome::Skipped;
             }
         }
-        supervise_point(point, index, fingerprint, &sweep_label, config, &journal)
+        supervise_point(point, index, fingerprint, &sweep_label, config, journal.as_ref())
     })
 }
 
@@ -1041,40 +896,28 @@ mod tests {
     }
 
     #[test]
-    fn journal_gc_keeps_last_k_and_never_deletes_active_fingerprints() {
-        let dir = std::env::temp_dir().join(format!("dimetrodon-journal-gc-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).expect("create dir");
-        let active_fp: u64 = 0xA11CE;
-        // The active journal is the OLDEST file — worst case for an
-        // mtime-ordered GC.
-        let mut paths = vec![journal_path(&dir, active_fp)];
-        for fp in 1..=4u64 {
-            paths.push(dir.join(format!("fleet-{fp:016x}.journal")));
-        }
-        paths.push(dir.join("not-a-journal.txt"));
-        let base = std::time::SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(1_000_000);
-        for (age, path) in paths.iter().enumerate() {
-            std::fs::write(path, "journal\n").expect("write");
-            let file = std::fs::File::options().write(true).open(path).expect("open");
-            file.set_modified(base + std::time::Duration::from_secs(age as u64))
-                .expect("set mtime");
-        }
-
-        let removed = gc_journals(&dir, 2, &[active_fp]);
-        assert_eq!(removed, 2, "4 inactive journals, keep 2");
-        assert!(
-            journal_path(&dir, active_fp).exists(),
-            "GC must never delete the active fingerprint's journal"
+    fn a_fresh_journal_starts_with_the_pinned_header() {
+        // perfbench and CI read these files; the file name and header
+        // line are format, not implementation detail.
+        let _serial = serial();
+        let dir = std::env::temp_dir().join(format!(
+            "dimetrodon-journal-header-{}",
+            std::process::id()
+        ));
+        drop(std::fs::remove_dir_all(&dir));
+        let points = vec![tiny_point(31)];
+        let config = SupervisorConfig {
+            journal_dir: Some(dir.clone()),
+            ..SupervisorConfig::default()
+        };
+        drop(run_supervised(&points, &config));
+        let sweep = fingerprint_sweep(&points);
+        let text = std::fs::read_to_string(dir.join(format!("sweep-{sweep:016x}.journal")))
+            .expect("journal written");
+        assert_eq!(
+            text.lines().next(),
+            Some(format!("# dimetrodon sweep journal v1 sweep {sweep:016x} points 1").as_str())
         );
-        assert!(dir.join("not-a-journal.txt").exists(), "non-journals untouched");
-        // The two newest inactive journals survive, the two oldest are gone.
-        assert!(!dir.join(format!("fleet-{:016x}.journal", 1u64)).exists());
-        assert!(!dir.join(format!("fleet-{:016x}.journal", 2u64)).exists());
-        assert!(dir.join(format!("fleet-{:016x}.journal", 3u64)).exists());
-        assert!(dir.join(format!("fleet-{:016x}.journal", 4u64)).exists());
-
-        assert_eq!(gc_journals(&dir, 2, &[active_fp]), 0, "GC is idempotent");
-        std::fs::remove_dir_all(&dir).ok();
+        drop(std::fs::remove_dir_all(&dir));
     }
 }

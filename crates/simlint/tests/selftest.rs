@@ -239,10 +239,10 @@ fn live_ckpt_pin_guards_the_real_workspace() {
     assert!(drift[0].message.contains("bump CKPT_FORMAT_VERSION"));
 
     let bumped = src.replace(
-        "pub const CKPT_FORMAT_VERSION: u32 = 1;",
         "pub const CKPT_FORMAT_VERSION: u32 = 2;",
+        "pub const CKPT_FORMAT_VERSION: u32 = 3;",
     );
-    assert_ne!(bumped, src, "expected the live format version to be 1");
+    assert_ne!(bumped, src, "expected the live format version to be 2");
     let stale = check_ckpt_pin("crates/ckpt/src/lib.rs", &bumped, computed);
     assert_eq!(stale.len(), 1, "{stale:?}");
     assert!(stale[0].message.contains("stale ckpt_pin"));
