@@ -168,10 +168,10 @@ pub fn quick_requested() -> bool {
     std::env::args().any(|a| a == "--quick")
 }
 
-/// Parsed durable-checkpoint flags, shared by checkpoint-aware binaries:
+/// Parsed durable-checkpoint flags of the `fleet` binary:
 ///
-/// * `--checkpoint-every N` — control epochs (fleet) or events (single
-///   machine) between checkpoint saves, overriding the default cadence;
+/// * `--checkpoint-every N` — control epochs between checkpoint saves,
+///   overriding the default cadence;
 /// * `--no-checkpoint` — disable checkpoint saving entirely;
 /// * `--restore` — resume from the newest verifiable checkpoint (falls
 ///   back past corrupt files; exits nonzero when none verifies).

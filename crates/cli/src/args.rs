@@ -113,10 +113,9 @@ pub struct Options {
     /// Path of a fleet fault-plan file (`at <t>s machine <m>|rack <r>|all
     /// crash|crac <s> <d>|wedge` lines) injected into a `--fleet` run.
     pub chaos_plan_path: Option<String>,
-    /// Durable-checkpoint cadence: control epochs between saves for
-    /// `--fleet` runs, simulated events for scenario runs. Checkpointing
-    /// is off by default in the CLI; this flag (or `--restore`) turns it
-    /// on.
+    /// Durable-checkpoint cadence of a `--fleet` run, in control epochs
+    /// between saves. Checkpointing is off by default in the CLI; this
+    /// flag (or `--restore`) turns it on.
     pub checkpoint_every: Option<u64>,
     /// Never write checkpoints (excludes `--checkpoint-every`).
     pub no_checkpoint: bool,
@@ -247,14 +246,14 @@ OPTIONS:
                        (`at <t>s machine <m>|rack <r>|all crash |
                        crac <scale> <delta> | wedge`, optionally
                        `for <span>`; directive `on-crash drop|redistribute`)
-    --checkpoint-every <n> write a durable checkpoint to results/.ckpt/
-                       every n control epochs (--fleet) or n simulated
-                       events (scenario runs); corrupt files are detected
-                       by checksum on restore            [default: off]
+    --checkpoint-every <n> write a durable checkpoint of a --fleet run to
+                       results/.ckpt/ every n control epochs; corrupt files
+                       are detected by checksum on restore  [default: off]
     --no-checkpoint    never write checkpoints (excludes --checkpoint-every)
-    --restore          resume from the newest verifiable checkpoint,
-                       falling back past corrupt files; fails with a typed
-                       error when checkpoints exist but none verifies
+    --restore          resume a --fleet run from the newest verifiable
+                       checkpoint, falling back past corrupt files; fails
+                       with a typed error when checkpoints exist but none
+                       verifies
     --help             print this text
 ";
 
@@ -519,6 +518,24 @@ impl Options {
                 expected: "at most one of the two flags",
             });
         }
+        if options.fleet.is_none() {
+            // These flags only shape a `--fleet` run; a scenario run would
+            // silently ignore them.
+            let fleet_only = [
+                ("--fleet-policy", options.fleet_policy.is_some()),
+                ("--chaos-plan", options.chaos_plan_path.is_some()),
+                ("--checkpoint-every", options.checkpoint_every.is_some()),
+                ("--no-checkpoint", options.no_checkpoint),
+                ("--restore", options.restore),
+            ];
+            if let Some(&(flag, _)) = fleet_only.iter().find(|(_, given)| *given) {
+                return Err(ParseArgsError::BadValue {
+                    flag,
+                    value: "a single-machine scenario".into(),
+                    expected: "a --fleet <n> run",
+                });
+            }
+        }
         Ok(options)
     }
 }
@@ -688,6 +705,10 @@ mod tests {
             Options::parse(["--fleet-policy", "hottest-first"]),
             Err(ParseArgsError::BadValue { flag: "--fleet-policy", .. })
         ));
+        assert!(matches!(
+            Options::parse(["--fleet-policy", "coolest-first"]),
+            Err(ParseArgsError::BadValue { flag: "--fleet-policy", .. })
+        ));
         assert!(USAGE.contains("--fleet") && USAGE.contains("--fleet-policy"));
     }
 
@@ -703,15 +724,19 @@ mod tests {
             Options::parse(["--chaos-plan"]),
             Err(ParseArgsError::MissingValue { flag: "--chaos-plan" })
         );
+        assert!(matches!(
+            Options::parse(["--chaos-plan", "chaos.txt"]),
+            Err(ParseArgsError::BadValue { flag: "--chaos-plan", .. })
+        ));
         assert!(USAGE.contains("--chaos-plan"));
     }
 
     #[test]
     fn checkpoint_flags_parse_and_validate() {
-        let o = Options::parse(["--checkpoint-every", "25", "--restore"]).unwrap();
+        let o = Options::parse(["--fleet", "4", "--checkpoint-every", "25", "--restore"]).unwrap();
         assert_eq!(o.checkpoint_every, Some(25));
         assert!(o.restore && !o.no_checkpoint);
-        let o = Options::parse(["--no-checkpoint"]).unwrap();
+        let o = Options::parse(["--fleet", "4", "--no-checkpoint"]).unwrap();
         assert!(o.no_checkpoint && o.checkpoint_every.is_none());
         assert!(matches!(
             Options::parse(["--checkpoint-every", "0"]),
@@ -721,6 +746,22 @@ mod tests {
             Options::parse(["--checkpoint-every", "5", "--no-checkpoint"]),
             Err(ParseArgsError::BadValue { flag: "--no-checkpoint", .. })
         ));
+        // Without --fleet every checkpoint flag is refused, not ignored.
+        for args in [
+            &["--checkpoint-every", "25"][..],
+            &["--no-checkpoint"][..],
+            &["--restore"][..],
+        ] {
+            assert_eq!(
+                Options::parse(args),
+                Err(ParseArgsError::BadValue {
+                    flag: args[0],
+                    value: "a single-machine scenario".into(),
+                    expected: "a --fleet <n> run",
+                }),
+                "{args:?}"
+            );
+        }
         assert!(USAGE.contains("--checkpoint-every") && USAGE.contains("--restore"));
     }
 

@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod ckpt;
 pub mod experiments;
 mod runner;
 pub mod snapshot;
@@ -46,6 +45,6 @@ pub mod supervise;
 pub mod sweep;
 
 pub use runner::{
-    build_system, build_system_on, characterize, characterize_checkpointed, characterize_on,
-    tradeoff, Actuation, RunConfig, RunOutcome, SaturatingWorkload,
+    build_system, build_system_on, characterize, characterize_on, tradeoff, Actuation, RunConfig,
+    RunOutcome, SaturatingWorkload,
 };

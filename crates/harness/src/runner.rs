@@ -288,48 +288,6 @@ pub fn characterize_on(
     actuation: Actuation,
     config: RunConfig,
 ) -> RunOutcome {
-    characterize_core(
-        machine_config,
-        workload,
-        actuation,
-        config,
-        crate::ckpt::installed().as_ref(),
-    )
-    .unwrap_or_else(|err| {
-        // Only the restore path errors (see `characterize_checkpointed`
-        // for the Result-typed entry); inside a sweep worker the panic is
-        // quarantined by the supervisor and surfaces as an incident.
-        // simlint::allow(R1): deliberate panic — quarantined by the supervisor
-        panic!("checkpoint restore failed: {err}")
-    })
-}
-
-/// [`characterize_on`] under an explicit [`RunCheckpointSpec`]
-/// (ignoring the process-global one), with restore failures as typed
-/// errors instead of a panic — the CLI's `--restore` path.
-///
-/// # Errors
-///
-/// Returns a [`dimetrodon_ckpt::CkptError`] when `spec.restore` is set
-/// and checkpoint files exist but none verifies, or the verified replay
-/// diverges from the checkpointed state.
-pub fn characterize_checkpointed(
-    machine_config: &MachineConfig,
-    workload: SaturatingWorkload,
-    actuation: Actuation,
-    config: RunConfig,
-    spec: &crate::ckpt::RunCheckpointSpec,
-) -> Result<RunOutcome, dimetrodon_ckpt::CkptError> {
-    characterize_core(machine_config, workload, actuation, config, Some(spec))
-}
-
-fn characterize_core(
-    machine_config: &MachineConfig,
-    workload: SaturatingWorkload,
-    actuation: Actuation,
-    config: RunConfig,
-    ckpt_spec: Option<&crate::ckpt::RunCheckpointSpec>,
-) -> Result<RunOutcome, dimetrodon_ckpt::CkptError> {
     let (mut system, ids) = if config.warmup.is_zero() {
         let (mut system, _policy) = build_system_on(machine_config, actuation, config.seed);
         let ids = workload.spawn_on(&mut system);
@@ -359,21 +317,7 @@ fn characterize_core(
         (system, ids)
     };
     let idle_temp = system.machine().idle_temperature();
-    let deadline = SimTime::ZERO + config.duration;
-    match ckpt_spec {
-        Some(spec) => {
-            let key = crate::ckpt::run_key(machine_config, workload, actuation, &config);
-            let report =
-                crate::ckpt::run_until_checkpointed(&mut system, deadline, key, "char", spec)?;
-            if report.verified_events > 0 {
-                eprintln!(
-                    "[restore: verified {} replayed event(s) against the checkpoint]",
-                    report.verified_events
-                );
-            }
-        }
-        None => system.run_until(deadline),
-    }
+    system.run_until(SimTime::ZERO + config.duration);
 
     // The paper's temperature metric: coretemp reads taken by the
     // monitoring process, which land at scheduling boundaries.
@@ -409,14 +353,14 @@ fn characterize_core(
         .map(|(sec, (&s, &c))| (sec as f64, s / c as f64))
         .collect();
 
-    Ok(RunOutcome {
+    RunOutcome {
         idle_temp,
         tail_temp,
         throughput: executed / (cores * config.duration.as_secs_f64()),
         temp_series: system.mean_temp_series().clone(),
         observed_curve,
         injected_idles: system.total_injected_idles(),
-    })
+    }
 }
 
 /// A full trade-off measurement: runs the workload unconstrained and

@@ -480,9 +480,9 @@ impl System {
     /// Dispatches at most `max_events` events at or before `deadline`
     /// and returns how many actually ran. The pop/advance/dispatch loop
     /// is the same one [`run_until`](Self::run_until) uses, so a run
-    /// chunked through `run_events` (checkpointing between chunks) and
-    /// finished with `run_until(deadline)` is bit-identical to a single
-    /// uninterrupted `run_until(deadline)`.
+    /// chunked through `run_events` and finished with
+    /// `run_until(deadline)` is bit-identical to a single uninterrupted
+    /// `run_until(deadline)`.
     ///
     /// A return value smaller than `max_events` means the queue holds no
     /// more events at or before the deadline; the machine model has
@@ -1428,6 +1428,40 @@ mod tests {
         assert_eq!(sys.machine().mean_core_temperature(), temp);
         assert_eq!(sys.machine().energy().joules(), energy);
         assert_eq!(sys.now(), SimTime::from_secs(2));
+    }
+
+    #[test]
+    fn chunked_run_events_then_run_until_is_bit_identical_to_run_until() {
+        let build = || {
+            let mut sys = system();
+            sys.set_hook(Box::new(TestInjector {
+                p: 0.3,
+                quantum: SimDuration::from_millis(10),
+                rng: SimRng::new(77),
+            }));
+            for _ in 0..4 {
+                sys.spawn(ThreadKind::User, Box::new(Spin::new(1.0)));
+            }
+            sys
+        };
+        let machine_bytes = |sys: &System| {
+            let mut enc = dimetrodon_ckpt::Enc::new();
+            sys.machine().snapshot().encode_state(&mut enc);
+            enc.into_bytes()
+        };
+        let deadline = SimTime::from_secs(3);
+        let mut plain = build();
+        plain.run_until(deadline);
+
+        let mut chunked = build();
+        let mut chunks = 0;
+        while chunked.run_events(40, deadline) == 40 {
+            chunks += 1;
+        }
+        assert!(chunks > 1, "the span must cover several chunks");
+        chunked.run_until(deadline);
+        assert_eq!(chunked.now(), plain.now());
+        assert_eq!(machine_bytes(&chunked), machine_bytes(&plain));
     }
 
     #[test]
