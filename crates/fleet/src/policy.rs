@@ -23,6 +23,13 @@ pub struct FleetView<'a> {
     /// must never route to a machine advertised
     /// [`Down`](HealthState::Down).
     pub health: &'a [HealthState],
+    /// The fleet's argmin index over exactly these slices, present only
+    /// in the routing-phase view [`Fleet::step`](crate::Fleet::step)
+    /// hands its policy: there temperatures and health are frozen and
+    /// only the landed machine's backlog moves, which the index tracks.
+    /// The end-of-epoch view and hand-built views carry `None`, and a
+    /// wrapper that rewrites `health` must drop it.
+    pub(crate) index: Option<&'a RouteIndex>,
 }
 
 impl FleetView<'_> {
@@ -34,6 +41,27 @@ impl FleetView<'_> {
     /// Whether machine `m` is advertised routable (not down).
     pub fn routable(&self, m: usize) -> bool {
         self.health[m] != HealthState::Down
+    }
+
+    /// The routable machine with the least backlog, lowest index on ties
+    /// (machine 0 when every machine is down). O(1) through the fleet's
+    /// index when the view carries one, otherwise a scan.
+    pub(crate) fn least_loaded(&self) -> usize {
+        match self.index {
+            Some(index) => index.least_loaded(),
+            None => argmin_routable(self.backlog_cpu_s, self.health),
+        }
+    }
+
+    /// The routable machine with the lowest temperature, lowest index on
+    /// ties (machine 0 when every machine is down). Cached once per
+    /// routing phase in the fleet's index when the view carries one,
+    /// otherwise a scan.
+    pub(crate) fn coolest(&self) -> usize {
+        match self.index {
+            Some(index) => index.coolest,
+            None => argmin_routable(self.temps_celsius, self.health),
+        }
     }
 }
 
@@ -74,10 +102,10 @@ pub trait RoutePolicy {
 /// equality). When every machine is up this reduces exactly to a plain
 /// argmin. Falls back to machine 0 if the whole fleet is down — the
 /// epoch loop sheds the request after its bounded retries anyway.
-fn argmin_routable(values: &[f64], view: &FleetView<'_>) -> usize {
+fn argmin_routable(values: &[f64], health: &[HealthState]) -> usize {
     let mut best: Option<usize> = None;
     for (i, &value) in values.iter().enumerate() {
-        if !view.routable(i) {
+        if health[i] == HealthState::Down {
             continue;
         }
         let better = match best {
@@ -89,6 +117,77 @@ fn argmin_routable(values: &[f64], view: &FleetView<'_>) -> usize {
         }
     }
     best.unwrap_or(0)
+}
+
+/// A tournament node whose range holds no routable machine.
+const NO_MACHINE: usize = usize::MAX;
+
+/// [`argmin_routable`] of the backlog and of the temperatures, kept
+/// current through one routing phase. Temperatures and health are frozen
+/// for the phase, so the coolest machine is computed once; backlog moves
+/// one landing at a time, so least-loaded is a tournament tree whose
+/// leaf-to-root path is replayed after each landing.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RouteIndex {
+    /// Tournament tree in heap order: node 1 is the root, node `i` has
+    /// children `2i` and `2i + 1`, machine `m` is leaf `leaves + m`.
+    /// Each node holds its range's least-backlog routable machine, or
+    /// [`NO_MACHINE`]; down machines and padding leaves never win.
+    winner: Vec<usize>,
+    /// Leaf count: the machine count rounded up to a power of two.
+    leaves: usize,
+    /// The coolest routable machine of the phase.
+    coolest: usize,
+}
+
+impl RouteIndex {
+    /// Rebuilds the index over a routing phase's state in O(n), reusing
+    /// the tree's buffer.
+    pub(crate) fn rebuild(&mut self, backlog: &[f64], temps: &[f64], health: &[HealthState]) {
+        self.leaves = backlog.len().next_power_of_two();
+        self.winner.clear();
+        self.winner.resize(2 * self.leaves, NO_MACHINE);
+        for (m, &state) in health.iter().enumerate() {
+            if state != HealthState::Down {
+                self.winner[self.leaves + m] = m;
+            }
+        }
+        for node in (1..self.leaves).rev() {
+            self.winner[node] = self.play(node, backlog);
+        }
+        self.coolest = argmin_routable(temps, health);
+    }
+
+    /// Replays the path from `machine`'s leaf to the root after its
+    /// backlog changed: O(log n).
+    pub(crate) fn update(&mut self, machine: usize, backlog: &[f64]) {
+        let mut node = (self.leaves + machine) / 2;
+        while node >= 1 {
+            self.winner[node] = self.play(node, backlog);
+            node /= 2;
+        }
+    }
+
+    /// The winner of `node`'s two children. The right child, whose
+    /// machines all have higher indices, wins only on a strictly smaller
+    /// backlog: the scan's lowest-index-on-ties rule.
+    fn play(&self, node: usize, backlog: &[f64]) -> usize {
+        let (left, right) = (self.winner[2 * node], self.winner[2 * node + 1]);
+        if right != NO_MACHINE && (left == NO_MACHINE || backlog[right] < backlog[left]) {
+            right
+        } else {
+            left
+        }
+    }
+
+    /// The least-loaded routable machine, or machine 0 when every
+    /// machine is down.
+    fn least_loaded(&self) -> usize {
+        match self.winner[1] {
+            NO_MACHINE => 0,
+            machine => machine,
+        }
+    }
 }
 
 /// Index of the largest value, lowest index on ties.
@@ -158,7 +257,7 @@ impl RoutePolicy for LeastLoaded {
     }
 
     fn route(&mut self, _tenant: usize, view: &FleetView<'_>) -> usize {
-        argmin_routable(view.backlog_cpu_s, view)
+        view.least_loaded()
     }
 }
 
@@ -173,7 +272,7 @@ impl RoutePolicy for CoolestFirst {
     }
 
     fn route(&mut self, _tenant: usize, view: &FleetView<'_>) -> usize {
-        argmin_routable(view.temps_celsius, view)
+        view.coolest()
     }
 }
 
@@ -238,7 +337,7 @@ impl RoutePolicy for PinnedMigrate {
             return;
         }
         let hottest = argmax(view.temps_celsius);
-        let coolest = argmin_routable(view.temps_celsius, view);
+        let coolest = view.coolest();
         if view.temps_celsius[hottest] - view.temps_celsius[coolest] <= self.hysteresis_celsius {
             return;
         }
@@ -339,6 +438,12 @@ pub struct FailoverPolicy<P: RoutePolicy> {
     /// Whether this epoch's health has been folded in already; health is
     /// constant within an epoch, so the fold must run exactly once.
     tracked_this_epoch: bool,
+    /// Whether this epoch's effective health equals the advertised
+    /// health, so the fleet's route index (built over the advertised
+    /// health) still answers for the inner policy. Transient: a restored
+    /// wrapper starts at `false` and its inner policy scans until the
+    /// next fold.
+    index_valid: bool,
     holds: u64,
 }
 
@@ -362,6 +467,7 @@ impl<P: RoutePolicy> FailoverPolicy<P> {
             effective: Vec::new(),
             up_streak: Vec::new(),
             tracked_this_epoch: false,
+            index_valid: false,
             holds: 0,
         }
     }
@@ -384,7 +490,6 @@ impl<P: RoutePolicy> FailoverPolicy<P> {
         if self.effective.len() != health.len() {
             self.effective = health.to_vec();
             self.up_streak = vec![0; health.len()];
-            return;
         }
         for (m, &observed) in health.iter().enumerate() {
             match observed {
@@ -407,6 +512,7 @@ impl<P: RoutePolicy> FailoverPolicy<P> {
                 }
             }
         }
+        self.index_valid = self.effective == health;
     }
 }
 
@@ -418,10 +524,9 @@ impl<P: RoutePolicy> RoutePolicy for FailoverPolicy<P> {
     fn route(&mut self, tenant: usize, view: &FleetView<'_>) -> usize {
         self.track(view.health);
         let masked = FleetView {
-            backlog_cpu_s: view.backlog_cpu_s,
-            temps_celsius: view.temps_celsius,
-            tenant_demand_cpu_s: view.tenant_demand_cpu_s,
             health: &self.effective,
+            index: view.index.filter(|_| self.index_valid),
+            ..*view
         };
         self.inner.route(tenant, &masked)
     }
@@ -429,10 +534,9 @@ impl<P: RoutePolicy> RoutePolicy for FailoverPolicy<P> {
     fn end_epoch(&mut self, view: &FleetView<'_>) {
         self.track(view.health);
         let masked = FleetView {
-            backlog_cpu_s: view.backlog_cpu_s,
-            temps_celsius: view.temps_celsius,
-            tenant_demand_cpu_s: view.tenant_demand_cpu_s,
             health: &self.effective,
+            index: view.index.filter(|_| self.index_valid),
+            ..*view
         };
         self.inner.end_epoch(&masked);
         self.tracked_this_epoch = false;
@@ -531,6 +635,7 @@ impl PolicyKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const ALL_UP: [HealthState; 3] = [HealthState::Up; 3];
 
@@ -544,6 +649,7 @@ mod tests {
             temps_celsius: temps,
             tenant_demand_cpu_s: tenant_demand,
             health: &ALL_UP[..backlog.len().min(ALL_UP.len())],
+            index: None,
         }
     }
 
@@ -558,6 +664,7 @@ mod tests {
             temps_celsius: temps,
             tenant_demand_cpu_s: tenant_demand,
             health,
+            index: None,
         }
     }
 
@@ -665,6 +772,101 @@ mod tests {
         // Epoch 4: streak complete, the machine re-enters rotation.
         let v = view_with_health(&backlog, &[0.0; 3], &[], &up);
         assert_eq!(policy.route(0, &v), 0);
+    }
+
+    #[test]
+    fn failover_wrapper_withholds_the_index_during_a_recovery_hold() {
+        // Machine 0 returns from down with the least backlog and the
+        // lowest temperature, so the index built over the advertised
+        // health names it at once; the wrapper must not pass that answer
+        // through while it still holds machine 0 out of rotation.
+        let backlog = [0.0, 5.0, 5.0];
+        let temps = [30.0, 40.0, 40.0];
+        let down = [HealthState::Down, HealthState::Up, HealthState::Up];
+        let mut up_index = RouteIndex::default();
+        up_index.rebuild(&backlog, &temps, &ALL_UP);
+        assert_eq!((up_index.least_loaded(), up_index.coolest), (0, 0));
+
+        let inners: [Box<dyn RoutePolicy>; 2] = [Box::new(LeastLoaded), Box::new(CoolestFirst)];
+        for inner in inners {
+            let name = inner.name();
+            let mut policy = FailoverPolicy::new(inner, 2);
+            let mut picks = Vec::new();
+            for health in [&down, &ALL_UP, &ALL_UP, &ALL_UP] {
+                let mut index = RouteIndex::default();
+                index.rebuild(&backlog, &temps, health);
+                let v = FleetView {
+                    index: Some(&index),
+                    ..view_with_health(&backlog, &temps, &[], health)
+                };
+                picks.push(policy.route(0, &v));
+                policy.end_epoch(&view_with_health(&backlog, &temps, &[], health));
+            }
+            assert_eq!(
+                picks,
+                [1, 1, 1, 0],
+                "{name}: held for two epochs, then back"
+            );
+        }
+    }
+
+    /// Backlog and temperature values with exact ties, signed zeros
+    /// included, so the tie rule is exercised on most draws.
+    const KEYS: [f64; 4] = [0.0, -0.0, 1.0, 2.5];
+    const DEMANDS: [f64; 3] = [0.5, 1.0, 2.5];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// Through 50 landings, each adding demand to the index's own
+        /// least-loaded pick, the index answers exactly as the scan over
+        /// the same slices: any fleet size, any health mix, all-down
+        /// included.
+        #[test]
+        fn route_index_agrees_with_the_scan_after_every_landing(
+            n in prop_oneof![1usize..=300, Just(1usize), Just(2usize), Just(256usize)],
+            health_mode in 0u8..4,
+            health_codes in prop::collection::vec(0u8..3, 300),
+            backlog_keys in prop::collection::vec(0usize..4, 300),
+            temp_keys in prop::collection::vec(0usize..4, 300),
+            demand_keys in prop::collection::vec(0usize..3, 50),
+        ) {
+            let health: Vec<HealthState> = health_codes[..n]
+                .iter()
+                .map(|&code| match (health_mode, code) {
+                    (0, _) => HealthState::Down,
+                    (1, _) => HealthState::Up,
+                    (_, 0) => HealthState::Up,
+                    (_, 1) => HealthState::Degraded,
+                    _ => HealthState::Down,
+                })
+                .collect();
+            let mut backlog: Vec<f64> = backlog_keys[..n].iter().map(|&k| KEYS[k]).collect();
+            let temps: Vec<f64> = temp_keys[..n].iter().map(|&k| KEYS[k]).collect();
+            let mut index = RouteIndex::default();
+            index.rebuild(&backlog, &temps, &health);
+            for landings in 0..=demand_keys.len() {
+                let v = FleetView {
+                    index: Some(&index),
+                    ..view_with_health(&backlog, &temps, &[], &health)
+                };
+                let machine = v.least_loaded();
+                prop_assert_eq!(
+                    machine,
+                    argmin_routable(&backlog, &health),
+                    "least-loaded after {} landings", landings
+                );
+                prop_assert_eq!(
+                    v.coolest(),
+                    argmin_routable(&temps, &health),
+                    "coolest after {} landings", landings
+                );
+                if let Some(&key) = demand_keys.get(landings) {
+                    backlog[machine] += DEMANDS[key];
+                    index.update(machine, &backlog);
+                }
+            }
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ use dimetrodon_workload::{QosStats, WebConfig};
 
 use crate::config::FleetConfig;
 use crate::health::HealthModel;
-use crate::policy::{FleetView, RoutePolicy};
+use crate::policy::{FleetView, RouteIndex, RoutePolicy};
 
 /// Ceiling on the per-machine injection proportion: above this the paper's
 /// own data says voltage/frequency scaling dominates, and the fluid queue
@@ -139,6 +139,10 @@ pub struct Fleet {
     collect_chaos: bool,
     /// Chaos accounting accumulators (zeros unless `collect_chaos`).
     stats: ChaosStats,
+    // simlint::shared: transient routing index, rebuilt from backlog,
+    // temperatures and health before every routing phase; never
+    // checkpointed.
+    route_index: RouteIndex,
 }
 
 /// Chaos accounting accumulated per epoch while collection is on.
@@ -261,6 +265,7 @@ impl Fleet {
             crac: vec![None; racks],
             collect_chaos,
             stats: ChaosStats::default(),
+            route_index: RouteIndex::default(),
             machines,
             prototype,
             web,
@@ -300,6 +305,15 @@ impl Fleet {
             temps_celsius: &self.temps_celsius,
             tenant_demand_cpu_s: &self.tenant_demand_cpu_s,
             health: self.health.states(),
+            index: None,
+        }
+    }
+
+    /// The routing-phase view: [`Fleet::view`] plus the argmin index.
+    fn routing_view(&self) -> FleetView<'_> {
+        FleetView {
+            index: Some(&self.route_index),
+            ..self.view()
         }
     }
 
@@ -415,6 +429,14 @@ impl Fleet {
         // hasn't noticed yet) is re-routed up to ROUTE_RETRIES times,
         // then shed — with no chaos plan the first attempt always sticks
         // and this loop is the old single route call verbatim.
+        // Temperatures and health are frozen from here to the end of the
+        // loop and only a landing moves a backlog, so one rebuild plus a
+        // path refresh per landing keeps the route index exact.
+        self.route_index.rebuild(
+            &self.backlog_cpu_s,
+            &self.temps_celsius,
+            self.health.states(),
+        );
         for (tenant, demand) in arrivals {
             if self.collect_chaos {
                 self.stats.arrived_requests += 1;
@@ -422,7 +444,7 @@ impl Fleet {
             }
             let mut landed = None;
             for _attempt in 0..=ROUTE_RETRIES {
-                let machine = policy.route(tenant, &self.view());
+                let machine = policy.route(tenant, &self.routing_view());
                 assert!(
                     machine < self.machines.len(),
                     "policy {} routed to machine {machine} of {}",
@@ -449,6 +471,7 @@ impl Fleet {
                         split.record(latency, &self.web);
                     }
                     self.backlog_cpu_s[machine] += demand;
+                    self.route_index.update(machine, &self.backlog_cpu_s);
                     self.tenant_demand_cpu_s[tenant] += demand;
                 }
                 None => {
@@ -876,7 +899,9 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{CoolestFirst, LeastLoaded, PinnedMigrate, RoundRobin};
+    use crate::policy::{
+        CoolestFirst, FailoverPolicy, LeastLoaded, PinnedMigrate, PolicyKind, RoundRobin,
+    };
     use dimetrodon_faults::{FleetFaultKind, FleetFaultPlan, FleetTarget};
 
     fn small_config(seed: u64) -> FleetConfig {
@@ -1067,6 +1092,70 @@ mod tests {
         }
         let reports = fleet.reports();
         assert!(reports.iter().all(|r| r.peak_celsius.is_finite()));
+    }
+
+    /// Hands its inner policy every view without the fleet's route
+    /// index, so the inner policy scans: the reference the index must
+    /// reproduce.
+    struct Scanning<P>(P);
+
+    impl<P: RoutePolicy> RoutePolicy for Scanning<P> {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+
+        fn route(&mut self, tenant: usize, view: &FleetView<'_>) -> usize {
+            self.0.route(
+                tenant,
+                &FleetView {
+                    index: None,
+                    ..*view
+                },
+            )
+        }
+
+        fn end_epoch(&mut self, view: &FleetView<'_>) {
+            self.0.end_epoch(&FleetView {
+                index: None,
+                ..*view
+            });
+        }
+    }
+
+    #[test]
+    fn the_route_index_changes_no_outcome_under_failover_and_chaos() {
+        // A crash whose recovery the failover wrapper holds (index
+        // withheld) and a CRAC failure that reshuffles temperatures.
+        let mut config = FleetConfig::quick(1);
+        config.machines = 64;
+        config.chaos = "at 3s machine 1 crash for 6s\nat 5s rack 0 crac 1.5 2.0 for 5s\n"
+            .parse()
+            .expect("the smoke plan parses");
+        for kind in PolicyKind::ALL {
+            let mut wrapped = FailoverPolicy::new(kind.build(&config), 2);
+            let mut indexed = Fleet::new(config.clone());
+            indexed.run(&mut wrapped);
+            assert_eq!(
+                wrapped.holds(),
+                1,
+                "{}: machine 1's recovery is held",
+                kind.name()
+            );
+            let mut scanned = Fleet::new(config.clone());
+            scanned.run(&mut Scanning(FailoverPolicy::new(kind.build(&config), 2)));
+            assert_eq!(
+                report_bits(&indexed.reports()),
+                report_bits(&scanned.reports()),
+                "{}",
+                kind.name()
+            );
+            assert_eq!(
+                indexed.chaos_metrics(),
+                scanned.chaos_metrics(),
+                "{}",
+                kind.name()
+            );
+        }
     }
 
     #[test]
