@@ -9,7 +9,7 @@
 //! magic "DMTRCKPT" (8 bytes)
 //! CKPT_FORMAT_VERSION (u32 LE)
 //! frame*              (header frame first, then state frames)
-//! frame := len (u32 LE) | payload (len bytes) | fnv1a64(payload) (u64 LE)
+//! frame := len (u32 LE) | payload (len bytes) | checksum(payload) (u64 LE)
 //! ```
 //!
 //! and ends at exactly the last frame's checksum — trailing bytes are a
@@ -25,8 +25,11 @@
 //!
 //! * every load-path failure is a typed [`CkptError`] — there are no
 //!   panics between bytes-on-disk and a restored state;
-//! * each FNV-1a64 step is an invertible update of the running hash, so
-//!   any single flipped payload bit always changes the stored checksum;
+//! * the frame checksum is FNV-1a run over the payload's little-endian
+//!   64-bit words (then byte-wise over a tail of up to 7 bytes), with an
+//!   xor-shift fold after each word; every step is an invertible update
+//!   of the running hash, so any single flipped payload bit always
+//!   changes the stored checksum;
 //! * writes go to a temp file in the same directory and are published by
 //!   `rename`, so a crash mid-write leaves the previous checkpoint intact;
 //! * [`CheckpointStore::load_latest`] walks checkpoints newest-first and
@@ -38,7 +41,7 @@
 
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 pub mod journal;
@@ -49,24 +52,54 @@ pub const CKPT_MAGIC: [u8; 8] = *b"DMTRCKPT";
 /// On-disk format version. Bump whenever the byte layout of any frame
 /// changes — including the *field set* of any snapshot type that feeds an
 /// encoder (the simlint S2 rule pins that set against this constant).
-/// Version 2 moved the frame checksum to the standard FNV-1a prime.
-pub const CKPT_FORMAT_VERSION: u32 = 2;
+/// Version 2 moved the frame checksum to the standard FNV-1a prime;
+/// version 3 moved it to whole 64-bit words (see `frame_checksum`).
+pub const CKPT_FORMAT_VERSION: u32 = 3;
 
-// simlint::ckpt_pin(version = 2, fields = 0x9393d143d5065597)
+// simlint::ckpt_pin(version = 3, fields = 0x9393d143d5065597)
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a 64-bit hash (standard offset basis and prime), the workspace's
-/// one content fingerprint: frame checksums, journal and config
-/// fingerprints, snapshot keys.
+/// one content fingerprint: journal and config fingerprints, snapshot
+/// keys, checkpoint file names. (Checkpoint frames use the word-wide
+/// variant, `frame_checksum`.)
 ///
 /// Each step XORs one byte into the running hash and multiplies by an odd
 /// prime; both operations are invertible on `u64`, so two inputs of equal
-/// length differing in any single byte always hash differently — which is
-/// why a per-frame FNV checksum catches every single-bit flip.
+/// length differing in any single byte always hash differently.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut hash = FNV_OFFSET;
     for &b in bytes {
         hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        hash = hash.wrapping_mul(FNV_PRIME);
+    }
+    hash
+}
+
+/// The frame checksum: FNV-1a over the payload's little-endian 64-bit
+/// words, then byte-wise over the last `len % 8` bytes. Its serial chain
+/// of multiplies is an eighth as long as [`fnv1a64`]'s, which matters on
+/// a multi-megabyte fleet frame.
+///
+/// Every step is invertible on `u64` (XOR with the input, multiply by an
+/// odd prime, and after each word `h ^= h >> 32`), so two payloads of
+/// equal length that differ in any single bit always checksum
+/// differently. The fold is there because multiplication only carries
+/// upward: without it the top bit of a word reaches only the top bit of
+/// the hash, and flipping bit 63 of two different words would cancel.
+fn frame_checksum(payload: &[u8]) -> u64 {
+    let mut words = payload.chunks_exact(8);
+    let mut hash = FNV_OFFSET;
+    for word in &mut words {
+        let mut bytes = [0u8; 8];
+        bytes.copy_from_slice(word);
+        hash = (hash ^ u64::from_le_bytes(bytes)).wrapping_mul(FNV_PRIME);
+        hash ^= hash >> 32;
+    }
+    for &b in words.remainder() {
+        hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
     }
     hash
 }
@@ -91,7 +124,7 @@ pub enum CkptError {
     },
     /// The file ends mid-frame (torn write, truncated tail).
     Truncated,
-    /// A frame's payload does not match its stored FNV-1a64 checksum.
+    /// A frame's payload does not match its stored checksum.
     ChecksumMismatch,
     /// The checkpoint belongs to a different configuration.
     FingerprintMismatch {
@@ -406,23 +439,37 @@ impl CkptHeader {
     }
 }
 
-/// Serializes a whole checkpoint file: magic, version, header frame, then
-/// one frame per state payload.
-pub fn encode_checkpoint(header: CkptHeader, payloads: &[Vec<u8>]) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&CKPT_MAGIC);
-    bytes.extend_from_slice(&CKPT_FORMAT_VERSION.to_le_bytes());
-    push_frame(&mut bytes, &header.encode(payloads.len()));
+/// Streams a whole checkpoint file into `out`: magic, version, header
+/// frame, then one frame per state payload. The payloads are written
+/// straight from the caller's buffers; no file image is assembled.
+fn write_checkpoint(
+    out: &mut impl Write,
+    header: CkptHeader,
+    payloads: &[Vec<u8>],
+) -> io::Result<()> {
+    out.write_all(&CKPT_MAGIC)?;
+    out.write_all(&CKPT_FORMAT_VERSION.to_le_bytes())?;
+    write_frame(out, &header.encode(payloads.len()))?;
     for payload in payloads {
-        push_frame(&mut bytes, payload);
+        write_frame(out, payload)?;
     }
-    bytes
+    Ok(())
 }
 
-fn push_frame(bytes: &mut Vec<u8>, payload: &[u8]) {
-    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(payload);
-    bytes.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+fn write_frame(out: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    out.write_all(&(payload.len() as u32).to_le_bytes())?;
+    out.write_all(payload)?;
+    out.write_all(&frame_checksum(payload).to_le_bytes())
+}
+
+/// Serializes a whole checkpoint file in memory: magic, version, header
+/// frame, then one frame per state payload — the bytes
+/// [`CheckpointStore::save`] writes.
+pub fn encode_checkpoint(header: CkptHeader, payloads: &[Vec<u8>]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    // simlint::allow(R1): writing into a `Vec` never returns an error.
+    write_checkpoint(&mut bytes, header, payloads).expect("Vec writes are infallible");
+    bytes
 }
 
 /// Parses and fully verifies a checkpoint file: magic, version, every
@@ -463,7 +510,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<(CkptHeader, Vec<Vec<u8>>), Ckp
         let payload = &rest[4..4 + len];
         let mut sum_bytes = [0u8; 8];
         sum_bytes.copy_from_slice(&rest[4 + len..frame_end]);
-        if fnv1a64(payload) != u64::from_le_bytes(sum_bytes) {
+        if frame_checksum(payload) != u64::from_le_bytes(sum_bytes) {
             return Err(CkptError::ChecksumMismatch);
         }
         frames.push(payload.to_vec());
@@ -481,14 +528,19 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<(CkptHeader, Vec<Vec<u8>>), Ckp
     Ok((header, states))
 }
 
-/// Writes `bytes` to `path` atomically: a temp file in the same
-/// directory, flushed and fsynced, then published by `rename`. A crash at
-/// any point leaves either the old file or the new one, never a torn mix.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CkptError> {
-    let io = |err: std::io::Error| CkptError::Io(format!("{}: {err}", path.display()));
+/// Writes a file at `path` atomically: `write` streams the contents
+/// through a buffer into a temp file in the same directory, which is
+/// flushed and fsynced, then published by `rename`. A crash at any point
+/// leaves either the old file or the new one, never a torn mix.
+fn write_atomic(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<fs::File>) -> io::Result<()>,
+) -> Result<(), CkptError> {
+    let io = |err: io::Error| CkptError::Io(format!("{}: {err}", path.display()));
     let tmp = path.with_extension("ckpt.tmp");
-    let mut file = fs::File::create(&tmp).map_err(io)?;
-    file.write_all(bytes).map_err(io)?;
+    let mut out = BufWriter::new(fs::File::create(&tmp).map_err(io)?);
+    write(&mut out).map_err(io)?;
+    let file = out.into_inner().map_err(|err| io(err.into_error()))?;
     file.sync_all().map_err(io)?;
     drop(file);
     fs::rename(&tmp, path).map_err(io)
@@ -553,7 +605,9 @@ impl CheckpointStore {
             fingerprint: self.fingerprint,
             seq,
         };
-        write_atomic(&self.path_for(seq), &encode_checkpoint(header, payloads))?;
+        write_atomic(&self.path_for(seq), |out| {
+            write_checkpoint(out, header, payloads)
+        })?;
         self.prune();
         Ok(())
     }
@@ -674,6 +728,94 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    /// A payload of `len` bytes with every byte value distinct from its
+    /// neighbours.
+    fn patterned(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 37 + 11) as u8).collect()
+    }
+
+    #[test]
+    fn frame_checksum_changes_under_every_single_bit_flip() {
+        // Lengths 0..=24 cover zero to three whole words and every tail
+        // length from 0 to 7 bytes.
+        for len in 0..=24 {
+            let payload = patterned(len);
+            let sum = frame_checksum(&payload);
+            for byte in 0..len {
+                for bit in 0..8 {
+                    let mut flipped = payload.clone();
+                    flipped[byte] ^= 1 << bit;
+                    assert_ne!(
+                        frame_checksum(&flipped),
+                        sum,
+                        "len {len}: flip of byte {byte} bit {bit} went unseen"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frame_checksum_sees_the_top_bit_flipped_in_two_words() {
+        // Without the per-word fold, flipping bit 63 of two words adds
+        // 2^63 twice and the checksum comes out unchanged.
+        let payload = patterned(24);
+        let mut flipped = payload.clone();
+        flipped[7] ^= 0x80;
+        flipped[15] ^= 0x80;
+        assert_ne!(frame_checksum(&flipped), frame_checksum(&payload));
+    }
+
+    #[test]
+    fn frame_checksum_values_are_pinned() {
+        // An empty payload leaves the FNV offset basis; 1 byte is pure
+        // tail (and equals fnv1a64); 8 bytes one word; 9 a word and a tail.
+        assert_eq!(frame_checksum(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(frame_checksum(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(frame_checksum(b"abcdefgh"), 0x3919_eeb0_37f8_083c);
+        assert_eq!(frame_checksum(b"abcdefghi"), 0xff18_ea6f_1a76_286f);
+    }
+
+    #[test]
+    fn a_version_2_image_is_rejected_as_version_skew() {
+        // Version 2 framed the same payloads with the byte-wise fnv1a64.
+        let header = CkptHeader {
+            fingerprint: 1,
+            seq: 1,
+        };
+        let payloads = sample_payloads();
+        let mut image = CKPT_MAGIC.to_vec();
+        image.extend_from_slice(&2u32.to_le_bytes());
+        for payload in std::iter::once(&header.encode(payloads.len())).chain(&payloads) {
+            image.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            image.extend_from_slice(payload);
+            image.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+        }
+        assert_eq!(
+            decode_checkpoint(&image),
+            Err(CkptError::VersionSkew {
+                found: 2,
+                expected: CKPT_FORMAT_VERSION
+            })
+        );
+    }
+
+    #[test]
+    fn store_save_writes_exactly_the_encoded_bytes() {
+        let dir = scratch("streamed");
+        let store = CheckpointStore::new(&dir, "unit", 0xabcd, 2);
+        let payloads = sample_payloads();
+        store.save(3, &payloads).unwrap();
+        let header = CkptHeader {
+            fingerprint: 0xabcd,
+            seq: 3,
+        };
+        assert_eq!(
+            fs::read(store.path_for(3)).unwrap(),
+            encode_checkpoint(header, &payloads)
+        );
     }
 
     #[test]

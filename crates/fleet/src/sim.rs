@@ -612,13 +612,14 @@ impl Fleet {
 
     /// Per-rack outcome of the run so far.
     pub fn reports(&self) -> Vec<RackReport> {
-        (0..self.config.racks())
+        let racks = self.config.racks();
+        let (mut machines, mut trips) = (vec![0usize; racks], vec![0u64; racks]);
+        for (machine, &rack) in self.machines.iter().zip(&self.rack_of) {
+            machines[rack] += 1;
+            trips[rack] += machine.trip_count();
+        }
+        (0..racks)
             .map(|rack| {
-                let machines = self
-                    .rack_of
-                    .iter()
-                    .filter(|&&r| r == rack)
-                    .count();
                 let qos = &self.rack_qos[rack];
                 let samples = self.rack_temp_samples[rack];
                 let rms_celsius = if samples > 0 {
@@ -629,16 +630,10 @@ impl Fleet {
                 };
                 RackReport {
                     rack,
-                    machines,
+                    machines: machines[rack],
                     peak_celsius: self.rack_peak_celsius[rack],
                     rms_celsius,
-                    trips: self
-                        .machines
-                        .iter()
-                        .zip(&self.rack_of)
-                        .filter(|(_, &r)| r == rack)
-                        .map(|(m, _)| m.trip_count())
-                        .sum(),
+                    trips: trips[rack],
                     requests: qos.total(),
                     good_fraction: qos.good_fraction(),
                     p99_latency_s: qos.latency_percentile(99.0),

@@ -12,9 +12,8 @@ use std::process::Command;
 
 use simlint::parse::{self, CfgView};
 use simlint::{
-    check_ckpt_pin, check_feature_forwarding, lint_source, lint_source_with,
-    lint_workspace, lint_workspace_with, manifest, policy, LintOptions, Report, Rule,
-    Severity,
+    check_ckpt_pin, check_feature_forwarding, lint_source, lint_source_with, lint_workspace,
+    lint_workspace_with, manifest, parse_ckpt_pin, policy, LintOptions, Report, Rule, Severity,
 };
 
 const FULL: &[Rule] = &[
@@ -238,11 +237,12 @@ fn live_ckpt_pin_guards_the_real_workspace() {
     assert_eq!(drift[0].rule, Rule::S2);
     assert!(drift[0].message.contains("bump CKPT_FORMAT_VERSION"));
 
-    let bumped = src.replace(
-        "pub const CKPT_FORMAT_VERSION: u32 = 2;",
-        "pub const CKPT_FORMAT_VERSION: u32 = 3;",
-    );
-    assert_ne!(bumped, src, "expected the live format version to be 2");
+    // The in-sync check above means the pin records the live version.
+    let version = parse_ckpt_pin(&src).expect("live pin").version;
+    let live = format!("pub const CKPT_FORMAT_VERSION: u32 = {version};");
+    let next = format!("pub const CKPT_FORMAT_VERSION: u32 = {};", version + 1);
+    let bumped = src.replace(&live, &next);
+    assert_ne!(bumped, src, "expected `{live}` in the live ckpt crate");
     let stale = check_ckpt_pin("crates/ckpt/src/lib.rs", &bumped, computed);
     assert_eq!(stale.len(), 1, "{stale:?}");
     assert!(stale[0].message.contains("stale ckpt_pin"));

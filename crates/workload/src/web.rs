@@ -184,6 +184,11 @@ impl QosStats {
     /// returns the minimum, `pct = 100` the maximum, and a single sample
     /// answers every percentile.
     ///
+    /// Runs in linear time: it selects the rank from a copy of the
+    /// latencies (which stay in completion order) instead of sorting.
+    /// Selection under the total order `f64::total_cmp` lands on the same
+    /// element a sort would, bit for bit.
+    ///
     /// # Panics
     ///
     /// Panics if `pct` is outside `[0, 100]`.
@@ -192,15 +197,15 @@ impl QosStats {
         if self.latencies.is_empty() {
             return None;
         }
-        let mut sorted = self.latencies.clone();
-        sorted.sort_by(f64::total_cmp);
         // rank = ceil(pct/100 · n) clamped to [1, n]. The previous
         // interpolated-index rounding (`round(pct/100 · (n−1))`) answered
         // with the wrong rank — p50 of two samples rounded up to the
         // larger — and did not implement any standard convention.
-        let n = sorted.len();
+        let n = self.latencies.len();
         let rank = ((pct / 100.0) * n as f64).ceil().max(1.0).min(n as f64) as usize;
-        Some(sorted[rank - 1])
+        let mut scratch = self.latencies.clone();
+        let (_, &mut nth, _) = scratch.select_nth_unstable_by(rank - 1, f64::total_cmp);
+        Some(nth)
     }
 }
 
@@ -301,6 +306,7 @@ impl ThreadBody for Connection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn config() -> WebConfig {
         WebConfig::paper_setup()
@@ -411,6 +417,48 @@ mod tests {
         assert!((p99 - 0.099).abs() < 1e-12, "p99 = {p99}");
         let p1 = stats.latency_percentile(1.0).unwrap();
         assert!((p1 - 0.001).abs() < 1e-12, "p1 = {p1}");
+    }
+
+    /// The nearest-rank percentile the way it was first written: sort a
+    /// copy, read one rank.
+    fn sorted_nearest_rank(latencies: &[f64], pct: f64) -> f64 {
+        let mut sorted = latencies.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let n = sorted.len();
+        let rank = ((pct / 100.0) * n as f64).ceil().max(1.0).min(n as f64) as usize;
+        sorted[rank - 1]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// Selection answers with the very element sorting does. Values
+        /// come from a six-value set, so most ranks sit inside runs of
+        /// ties; ±0.0 are distinct under `total_cmp` and appear in both.
+        #[test]
+        fn selection_equals_the_sorted_nearest_rank(
+            picks in prop::collection::vec(0usize..6, 1..2000),
+            pct in prop_oneof![
+                Just(0.0),
+                Just(1.0),
+                Just(50.0),
+                Just(99.0),
+                Just(99.9),
+                Just(100.0),
+                0.0..=100.0f64,
+            ],
+        ) {
+            const VALUES: [f64; 6] = [0.0, -0.0, 0.25, 1.0, 3.0, 7.5];
+            let latencies: Vec<f64> = picks.iter().map(|&i| VALUES[i]).collect();
+            let stats = QosStats {
+                latencies: latencies.clone(),
+                ..QosStats::default()
+            };
+            let got = stats.latency_percentile(pct).unwrap();
+            let want = sorted_nearest_rank(&latencies, pct);
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "n {} p{}", latencies.len(), pct);
+            prop_assert_eq!(stats.latencies(), &latencies[..], "completion order kept");
+        }
     }
 
     #[test]
